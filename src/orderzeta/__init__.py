@@ -17,9 +17,9 @@ from .catalog import (
     cyclic_prime_catalog,
     expand_global,
     global_zeta,
+    maximal_order_catalog,
     rank2_over_field,
     tensor_global_zeta,
-    trivial_catalog,
 )
 from .localfactors import (
     INFINITE,
@@ -109,6 +109,7 @@ __all__ = [
     "ideal_series",
     "load_scheme",
     "locally_coprime",
+    "maximal_order_catalog",
     "monomial",
     "order_from_scheme",
     "poly_gcd",
@@ -121,6 +122,5 @@ __all__ = [
     "splitting",
     "tensor_global_zeta",
     "tensor_order",
-    "trivial_catalog",
     "validate",
 ]

@@ -7,6 +7,12 @@ order over any supported p-adic coefficient ring.  A GlobalZeta is the
 expandable result: Dedekind components with multiplicities plus a finite
 map of exceptional factors that fully replace the Dedekind local factors
 at the bad primes.
+
+Every construction is `tensor_global_zeta` over two catalog entries, the
+only place where exceptional factors are assembled: a single order is its
+tensor product with the maximal order of Q, and a rank-2 scheme ring with
+coefficients in the ring of integers of F is its tensor product with the
+maximal order of F.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .arith import factorize, is_prime, primes_upto
+from .arith import is_prime, primes_upto
 from .localfactors import (
     PadicRing,
     cyclic_prime_local_factor,
@@ -27,7 +33,12 @@ from .numfields import (
     dedekind_local_factor,
     splitting,
 )
-from .orders import IntegralOrder, bad_primes, order_from_scheme
+from .orders import (
+    IntegralOrder,
+    bad_primes,
+    order_from_scheme,
+    ring_of_integers_order,
+)
 from .schemes import complete_graph_scheme, cyclic_group_scheme
 from .series import DirichletCoefficients, LocalFactor, euler_expand
 
@@ -97,18 +108,21 @@ def _merge_components(fields) -> tuple[tuple[FieldDescriptor, int], ...]:
     return tuple((f, m) for f, m in out)
 
 
-def trivial_catalog() -> OrderCatalogEntry:
-    """The rank-1 order Z: no bad primes, pure Riemann zeta."""
+def maximal_order_catalog(field: FieldDescriptor) -> OrderCatalogEntry:
+    """The ring of integers of a supported field: no bad primes, so its zeta
+    is the Dedekind zeta of the field.  Q gives the rank-1 order Z."""
 
     def rule(ring: PadicRing) -> LocalFactor:
-        raise UnsupportedCoefficientRingError("the trivial order has no bad primes")
+        raise UnsupportedCoefficientRingError(
+            f"the maximal order of {field} has no bad primes"
+        )
 
     return OrderCatalogEntry(
-        name="trivial",
-        wedderburn=(RATIONAL,),
+        name=f"O_{field}",
+        wedderburn=(field,),
         bad_primes=frozenset(),
         local_rule=rule,
-        order=IntegralOrder(rank=1, table=(((1,),),), identity=(1,)),
+        order=ring_of_integers_order(field),
     )
 
 
@@ -167,12 +181,8 @@ def cyclic_prime_catalog(p: int) -> OrderCatalogEntry:
 
 
 def global_zeta(entry: OrderCatalogEntry) -> GlobalZeta:
-    """Zeta of a catalog entry over Z: Dedekind components of the maximal
-    order, exceptional factor rule(Z_p) at every bad prime."""
-    exceptional = {
-        p: entry.local_rule(PadicRing(p, 1, 1)) for p in sorted(entry.bad_primes)
-    }
-    return GlobalZeta(_merge_components(entry.wedderburn), exceptional)
+    """Zeta of a catalog entry over Z: its tensor product with Z."""
+    return tensor_global_zeta(entry, maximal_order_catalog(RATIONAL))
 
 
 def _compositum(a: FieldDescriptor, b: FieldDescriptor) -> FieldDescriptor:
@@ -219,21 +229,16 @@ def tensor_global_zeta(a: OrderCatalogEntry, b: OrderCatalogEntry) -> GlobalZeta
 
 def rank2_over_field(n: int, coeff_field: FieldDescriptor) -> GlobalZeta:
     """Zeta of the rank-2 scheme ring of order n with coefficients extended to
-    the ring of integers of a supported field F.
+    the ring of integers of a supported field F: the tensor product of the
+    scheme ring with the maximal order of F.
 
     Components are two copies of F; at each rational prime p dividing n the
     local factor is the product of the rank-2 closed forms over the
     completions of F above p.
     """
-    if n < 2:
-        raise ValueError("scheme order must be >= 2")
-    exceptional = {}
-    for p in sorted(factorize(n)):
-        factor = LocalFactor.one(p)
-        for e, f in splitting(coeff_field, p).pairs:
-            factor = factor * rank2_scheme_local_factor(PadicRing(p, e, f), n)
-        exceptional[p] = factor
-    return GlobalZeta(((coeff_field, 2),), exceptional)
+    return tensor_global_zeta(
+        complete_graph_catalog(n), maximal_order_catalog(coeff_field)
+    )
 
 
 def expand_global(zeta: GlobalZeta, bound: int) -> DirichletCoefficients:

@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors, primes_upto, smallest_prime_factors
+from .arith import divisors
 from .orders import IntegralOrder
-from .series import DirichletCoefficients
+from .series import DirichletCoefficients, multiplicative_series
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,26 +178,11 @@ def ideal_series(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    values = [0] * (bound + 1)
-    values[1] = 1
     if prime_powers_only:
-        prime_power: dict[int, list[int]] = {}
-        for p in primes_upto(bound):
-            counts = [1]
-            q = p
-            while q <= bound:
-                counts.append(count_left_ideals(order, q))
-                q *= p
-            prime_power[p] = counts
-        spf = smallest_prime_factors(bound)
-        for n in range(2, bound + 1):
-            p = spf[n]
-            m, k = n, 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            values[n] = values[m] * prime_power[p][k]
-    else:
-        for n in range(2, bound + 1):
-            values[n] = count_left_ideals(order, n)
-    return DirichletCoefficients(bound, values[1:])
+
+        def local(p: int, k: int) -> list[int]:
+            return [1] + [count_left_ideals(order, p**j) for j in range(1, k + 1)]
+
+        return multiplicative_series(bound, local)
+    values = [1] + [count_left_ideals(order, n) for n in range(2, bound + 1)]
+    return DirichletCoefficients(bound, values)

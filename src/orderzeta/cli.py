@@ -13,27 +13,27 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .catalog import (
     CompositumError,
     GlobalZeta,
     NotLocallyCoprimeError,
+    OrderCatalogEntry,
     UnsupportedCoefficientRingError,
     complete_graph_catalog,
     cyclic_prime_catalog,
     expand_global,
     global_zeta,
-    rank2_over_field,
+    maximal_order_catalog,
     tensor_global_zeta,
 )
 from .census import ideal_series
-from .localfactors import HeyComponent, PadicRing
+from .localfactors import HeyComponent, PadicRing, hey_local_factor
 from .numfields import RATIONAL, FieldDescriptor, cyclotomic
-from .localfactors import hey_local_factor
-from .orders import IntegralOrder, order_from_scheme, ring_of_integers_order, tensor_order
+from .orders import IntegralOrder, tensor_order
 from .schemes import (
     SchemeError,
-    complete_graph_scheme,
     direct_product,
     load_scheme,
     save_scheme,
@@ -57,67 +57,77 @@ def _parse_field(text: str) -> FieldDescriptor:
     raise ValueError(f"unknown field {text!r}; use Q or cyclo<prime>")
 
 
-def _build_construction(name: str, params: list[str]) -> Construction:
-    def want(k: int):
-        if len(params) != k:
-            raise ValueError(f"construction {name!r} takes {k} parameter(s)")
+def _rank2_over(params: list[str]) -> tuple[OrderCatalogEntry, ...]:
+    # the field comes first so the census sees O_F tensor K_n
+    n, coeff = int(params[0]), _parse_field(params[1])
+    if n < 2:
+        raise ValueError("scheme order must be >= 2")
+    return maximal_order_catalog(coeff), complete_graph_catalog(n)
 
-    if name == "cp":
-        want(1)
-        entry = cyclic_prime_catalog(int(params[0]))
-        return Construction(f"cp {params[0]}", global_zeta(entry), entry.order)
-    if name == "kn":
-        want(1)
-        entry = complete_graph_catalog(int(params[0]))
-        return Construction(f"kn {params[0]}", global_zeta(entry), entry.order)
-    if name == "cp-x-kn":
-        want(2)
-        a = cyclic_prime_catalog(int(params[0]))
-        b = complete_graph_catalog(int(params[1]))
-        return Construction(
-            f"cp-x-kn {params[0]} {params[1]}",
-            tensor_global_zeta(a, b),
-            tensor_order(a.order, b.order),
+
+class Recipe(NamedTuple):
+    """One named construction: its parameter count, the catalog entries
+    whose tensor product it is, notes for stderr and, where parameters are
+    normalised in the label, the label."""
+
+    params: int
+    entries: Callable[[list[str]], tuple[OrderCatalogEntry, ...]]
+    notes: tuple[str, ...] = ()
+    label: Callable[[list[str]], str] | None = None
+
+
+CONSTRUCTIONS: dict[str, Recipe] = {
+    "cp": Recipe(1, lambda p: (cyclic_prime_catalog(int(p[0])),)),
+    "kn": Recipe(1, lambda p: (complete_graph_catalog(int(p[0])),)),
+    "cp-x-kn": Recipe(
+        2,
+        lambda p: (
+            cyclic_prime_catalog(int(p[0])),
+            complete_graph_catalog(int(p[1])),
+        ),
+    ),
+    "km-x-kn": Recipe(
+        2,
+        lambda p: (
+            complete_graph_catalog(int(p[0])),
+            complete_graph_catalog(int(p[1])),
+        ),
+    ),
+    "zc6": Recipe(
+        0,
+        lambda p: (cyclic_prime_catalog(3), complete_graph_catalog(2)),
+        notes=(
+            "note: at p=2 the local factor carries the residue-degree-2 "
+            "correction (1 - u^2 + 4u^4)/(1 - u^2)^2 next to the degree-1 one, "
+            "while p=3 carries the degree-1 correction squared; the ideal "
+            "census decides in favour of this attachment.",
+        ),
+    ),
+    "rank2-over": Recipe(
+        2,
+        _rank2_over,
+        label=lambda p: f"rank2-over {int(p[0])} {_parse_field(p[1])}",
+    ),
+}
+
+
+def _build_construction(name: str, params: list[str]) -> Construction:
+    recipe = CONSTRUCTIONS.get(name)
+    if recipe is None:
+        raise ValueError(
+            f"unknown construction {name!r}; known: {', '.join(CONSTRUCTIONS)}"
         )
-    if name == "km-x-kn":
-        want(2)
-        a = complete_graph_catalog(int(params[0]))
-        b = complete_graph_catalog(int(params[1]))
-        return Construction(
-            f"km-x-kn {params[0]} {params[1]}",
-            tensor_global_zeta(a, b),
-            tensor_order(a.order, b.order),
-        )
-    if name == "zc6":
-        want(0)
-        a = cyclic_prime_catalog(3)
-        b = complete_graph_catalog(2)
-        return Construction(
-            "zc6",
-            tensor_global_zeta(a, b),
-            tensor_order(a.order, b.order),
-            notes=[
-                "note: at p=2 the local factor carries the residue-degree-2 "
-                "correction (1 - u^2 + 4u^4)/(1 - u^2)^2 next to the degree-1 one, "
-                "while p=3 carries the degree-1 correction squared; the ideal "
-                "census decides in favour of this attachment."
-            ],
-        )
-    if name == "rank2-over":
-        want(2)
-        n = int(params[0])
-        coeff = _parse_field(params[1])
-        return Construction(
-            f"rank2-over {n} {coeff}",
-            rank2_over_field(n, coeff),
-            tensor_order(
-                ring_of_integers_order(coeff),
-                order_from_scheme(complete_graph_scheme(n)),
-            ),
-        )
-    raise ValueError(
-        f"unknown construction {name!r}; known: cp, kn, cp-x-kn, km-x-kn, zc6, rank2-over"
-    )
+    if len(params) != recipe.params:
+        raise ValueError(f"construction {name!r} takes {recipe.params} parameter(s)")
+    entries = recipe.entries(params)
+    label = recipe.label(params) if recipe.label else " ".join([name, *params])
+    if len(entries) == 1:
+        (entry,) = entries
+        zeta, order = global_zeta(entry), entry.order
+    else:
+        a, b = entries
+        zeta, order = tensor_global_zeta(a, b), tensor_order(a.order, b.order)
+    return Construction(label, zeta, order, list(recipe.notes))
 
 
 def _positive_int(text: str) -> int:
@@ -149,20 +159,21 @@ def _format_expand(label: str, bound: int, values, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_compare(label: str, bound: int, formula, oracle, fmt: str) -> str:
+def _format_compare(
+    label: str, bound: int, formula, oracle, mismatches: list[int], fmt: str
+) -> str:
     rows = [
         [n, formula[n - 1], oracle[n - 1], formula[n - 1] == oracle[n - 1]]
         for n in range(1, bound + 1)
     ]
     if fmt == "json":
-        mism = [r[0] for r in rows if not r[3]]
         doc = {
             "command": "compare",
             "construction": label,
             "bound": bound,
             "rows": rows,
-            "all_match": not mism,
-            "first_mismatch": mism[0] if mism else None,
+            "all_match": not mismatches,
+            "first_mismatch": mismatches[0] if mismatches else None,
         }
         return json.dumps(doc, indent=1) + "\n"
     lines = ["n,a_n,oracle_a_n,match"]
@@ -182,17 +193,17 @@ def _cmd_expand(args) -> int:
 def _cmd_compare(args) -> int:
     con = _build_construction(args.construction, args.params)
     bound = min(args.N, args.oracle_N) if args.oracle_N else args.N
-    formula = expand_global(con.zeta, bound)
-    oracle = ideal_series(con.order, bound, prime_powers_only=args.prime_powers_only)
+    formula = expand_global(con.zeta, bound).values
+    oracle = ideal_series(
+        con.order, bound, prime_powers_only=args.prime_powers_only
+    ).values
+    mismatches = [n for n in range(1, bound + 1) if formula[n - 1] != oracle[n - 1]]
     for note in con.notes:
         print(note, file=sys.stderr)
     _emit(
-        _format_compare(con.label, bound, formula.values, oracle.values, args.format),
+        _format_compare(con.label, bound, formula, oracle, mismatches, args.format),
         args.out,
     )
-    mismatches = [
-        n for n in range(1, bound + 1) if formula.values[n - 1] != oracle.values[n - 1]
-    ]
     if mismatches:
         print(f"mismatch: first divergence at n = {mismatches[0]}", file=sys.stderr)
         return 1
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write to a file instead of stdout")
 
-    construction_help = "one of: cp, kn, cp-x-kn, km-x-kn, zc6, rank2-over"
+    construction_help = f"one of: {', '.join(CONSTRUCTIONS)}"
 
     p_expand = sub.add_parser("expand", help="coefficient table of a construction")
     p_expand.add_argument("construction", help=construction_help)

@@ -70,10 +70,6 @@ class HeyComponent:
             raise ValueError("Hey parameters must be >= 1")
 
 
-def _one_minus_u_pow(f: int) -> UPolynomial:
-    return UPolynomial((1,) + (0,) * (f - 1) + (-1,))
-
-
 def rank2_local_factor(ring: PadicRing, val: Valuation) -> LocalFactor:
     """Zeta factor of R[x]/(x(x-n)) as a rational function of u = p^{-s}.
 
@@ -87,7 +83,7 @@ def rank2_local_factor(ring: PadicRing, val: Valuation) -> LocalFactor:
     p, e, f = ring.prime, ring.ramification, ring.residue_degree
     q = p**f
     if val is INFINITE:
-        den = _one_minus_u_pow(f) * UPolynomial((1,) + (0,) * (2 * f - 1) + (-q,))
+        den = (ONE - monomial(f)) * (ONE - monomial(2 * f, q))
         return LocalFactor(p, ONE, den)
     if not isinstance(val, int) or val < 0:
         raise ValueError(f"valuation must be a nonnegative integer or INFINITE: {val}")
@@ -95,7 +91,7 @@ def rank2_local_factor(ring: PadicRing, val: Valuation) -> LocalFactor:
     geom = ZERO
     for r2 in range(v):
         geom = geom + monomial(2 * f * r2, q**r2)
-    one_minus = _one_minus_u_pow(f)
+    one_minus = ONE - monomial(f)
     head = LocalFactor(p, geom, one_minus)
     tail = LocalFactor(p, monomial(2 * f * v, q**v), one_minus * one_minus)
     return head + tail
@@ -164,5 +160,5 @@ def hey_local_factor(component: HeyComponent) -> LocalFactor:
     step = f * r * m
     den = ONE
     for j in range(k):
-        den = den * UPolynomial((1,) + (0,) * (step - 1) + (-(q ** (j * m)),))
+        den = den * (ONE - monomial(step, q ** (j * m)))
     return LocalFactor(p, ONE, den)

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import is_prime, multiplicative_order, primes_upto
-from .series import (
-    ONE,
-    DirichletCoefficients,
-    LocalFactor,
-    UPolynomial,
-    euler_expand,
-)
+from .series import ONE, DirichletCoefficients, LocalFactor, euler_expand, monomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,16 +86,11 @@ def splitting(field: FieldDescriptor, p: int) -> SplittingData:
     return SplittingData(p, ((1, f),) * g)
 
 
-def _one_minus_u_pow(f: int) -> UPolynomial:
-    """1 - u^f."""
-    return UPolynomial((1,) + (0,) * (f - 1) + (-1,))
-
-
 def dedekind_local_factor(field: FieldDescriptor, p: int) -> LocalFactor:
     """Local Dedekind factor at p: product of (1 - u^f)^{-1} over the primes above p."""
     den = ONE
     for _e, f in splitting(field, p).pairs:
-        den = den * _one_minus_u_pow(f)
+        den = den * (ONE - monomial(f))
     return LocalFactor(p, ONE, den)
 
 

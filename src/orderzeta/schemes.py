@@ -80,8 +80,17 @@ def validate(matrices) -> AssociationScheme:
 
     Relations are reordered so the identity comes first; everything else
     keeps its input order.  Raises SchemeError with the number of the
-    first violated condition, or ValueError for malformed input.
+    first violated condition, or ValueError for malformed input: anything
+    but a list of lists of lists of integers.
     """
+    if not isinstance(matrices, (list, tuple)):
+        raise ValueError("relations must be a list of matrices")
+    for s, m in enumerate(matrices):
+        if not isinstance(m, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(isinstance(x, int) for x in row)
+            for row in m
+        ):
+            raise ValueError(f"relation {s} is not a list of rows of integers")
     mats = [tuple(tuple(int(x) for x in row) for row in m) for m in matrices]
     if not mats:
         raise ValueError("no relation matrices given")
@@ -255,7 +264,7 @@ def direct_product(a: AssociationScheme, b: AssociationScheme) -> AssociationSch
 
 def scheme_from_dict(data: dict) -> AssociationScheme:
     """Build and validate a scheme from {"size": n, "relations": [...]}."""
-    if "size" not in data or "relations" not in data:
+    if not isinstance(data, dict) or "size" not in data or "relations" not in data:
         raise ValueError("scheme document needs 'size' and 'relations' fields")
     scheme = validate(data["relations"])
     if scheme.size != data["size"]:

@@ -10,7 +10,7 @@ exact.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .arith import is_prime, primes_upto, smallest_prime_factors
 
@@ -348,33 +348,24 @@ class DirichletCoefficients:
         return f"DirichletCoefficients(N={self.bound}, {list(self.values)!r})"
 
 
-def euler_expand(
-    factors: Mapping[int, LocalFactor], bound: int
+def multiplicative_series(
+    bound: int, local: Callable[[int, int], list[int]]
 ) -> DirichletCoefficients:
-    """Expand an Euler product into a_1..a_bound.
+    """a_1..a_bound of the multiplicative function with a_{p^j} = local(p, k)[j].
 
-    `factors` must assign a local factor to every prime p <= bound; the
-    coefficient a_{p^k} is read off the factor at p and composite n are
-    filled in multiplicatively.
+    `local` is called once per prime p <= bound, in increasing order, with
+    k the largest exponent such that p^k <= bound; composite n are filled
+    in from their smallest prime factor.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     prime_power: dict[int, list[int]] = {}
     for p in primes_upto(bound):
-        if p not in factors:
-            raise ValueError(f"no local factor assigned to the prime {p}")
-        f = factors[p]
-        if f.prime != p:
-            raise ValueError(f"factor at key {p} is attached to the prime {f.prime}")
-        k = 0
-        q = p
+        k, q = 1, p
         while q * p <= bound:
             q *= p
             k += 1
-        coeffs = f.expand(k + 1)
-        if coeffs[0] != 1:
-            raise ValueError(f"local factor at {p} has a_1 = {coeffs[0]}, expected 1")
-        prime_power[p] = coeffs
+        prime_power[p] = local(p, k)
     values = [0] * (bound + 1)
     values[1] = 1
     spf = smallest_prime_factors(bound)
@@ -386,3 +377,27 @@ def euler_expand(
             k += 1
         values[n] = values[m] * prime_power[p][k]
     return DirichletCoefficients(bound, values[1:])
+
+
+def euler_expand(
+    factors: Mapping[int, LocalFactor], bound: int
+) -> DirichletCoefficients:
+    """Expand an Euler product into a_1..a_bound.
+
+    `factors` must assign a local factor to every prime p <= bound; the
+    coefficient a_{p^k} is read off the factor at p and composite n are
+    filled in multiplicatively.
+    """
+
+    def local(p: int, k: int) -> list[int]:
+        if p not in factors:
+            raise ValueError(f"no local factor assigned to the prime {p}")
+        f = factors[p]
+        if f.prime != p:
+            raise ValueError(f"factor at key {p} is attached to the prime {f.prime}")
+        coeffs = f.expand(k)
+        if coeffs[0] != 1:
+            raise ValueError(f"local factor at {p} has a_1 = {coeffs[0]}, expected 1")
+        return coeffs
+
+    return multiplicative_series(bound, local)

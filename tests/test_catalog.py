@@ -11,9 +11,9 @@ from orderzeta.catalog import (
     cyclic_prime_catalog,
     expand_global,
     global_zeta,
+    maximal_order_catalog,
     rank2_over_field,
     tensor_global_zeta,
-    trivial_catalog,
 )
 from orderzeta.census import ideal_series
 from orderzeta.localfactors import (
@@ -97,7 +97,9 @@ def test_every_catalog_entry_matches_census():
         (complete_graph_catalog(6), 12),
         (cyclic_prime_catalog(2), 12),
         (cyclic_prime_catalog(3), 12),
-        (trivial_catalog(), 10),
+        (maximal_order_catalog(RATIONAL), 10),
+        (maximal_order_catalog(cyclotomic(3)), 12),
+        (maximal_order_catalog(cyclotomic(5)), 12),
     ]
     for entry, bound in cases:
         series = expand_global(global_zeta(entry), bound)
@@ -109,7 +111,7 @@ def test_every_catalog_entry_matches_census():
 # -------------------------------------------------------------- global zeta
 
 def test_global_zeta_trivial_is_riemann():
-    z = global_zeta(trivial_catalog())
+    z = global_zeta(maximal_order_catalog(RATIONAL))
     assert z.components == ((RATIONAL, 1),)
     assert not z.exceptional
     assert expand_global(z, 9).values == (1,) * 9
@@ -173,7 +175,7 @@ def test_tensor_complete_graphs_structure():
 def test_tensor_with_trivial_is_identity():
     for entry in (complete_graph_catalog(4), cyclic_prime_catalog(3)):
         plain = expand_global(global_zeta(entry), 16)
-        tensored = expand_global(tensor_global_zeta(entry, trivial_catalog()), 16)
+        tensored = expand_global(tensor_global_zeta(entry, maximal_order_catalog(RATIONAL)), 16)
         assert plain == tensored
 
 

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 
-from orderzeta.cli import main
+import pytest
+
+from orderzeta.cli import CONSTRUCTIONS, main
 from orderzeta.schemes import (
     complete_graph_scheme,
     cyclic_group_scheme,
@@ -86,6 +88,22 @@ def test_expand_rank2_over(capsys):
     )
     assert code == 0
     assert [int(r[1]) for r in parse_csv(out)[1:]] == [1, 0, 2, 1, 0, 0, 4, 0]
+
+
+def test_construction_table_drives_help_and_errors(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep the help line unwrapped
+    code, help_text, _ = run(capsys, "expand", "--help")
+    assert code == 0
+    code, _, err = run(capsys, "expand", "nope")
+    assert code == 2 and "unknown construction 'nope'" in err
+    for name in CONSTRUCTIONS:
+        assert name in help_text
+        assert name in err
+    code, out, _ = run(
+        capsys, "expand", "rank2-over", "5", "cyclo5", "--N", "30", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["construction"] == "rank2-over 5 Q(e_5)"
 
 
 def test_expand_invalid_n(capsys):
@@ -254,6 +272,27 @@ def test_product_invalid_input(capsys, tmp_path):
     save_scheme(complete_graph_scheme(2), good)
     code, _, err = run(capsys, "product", str(bad), str(good), "--out", str(tmp_path / "x.json"))
     assert code == 2
+
+
+MALFORMED_SCHEMES = [
+    {"size": 1, "relations": 5},
+    {"size": 1, "relations": [[1]]},
+    {"size": 1, "relations": [[[None]]]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SCHEMES)
+def test_malformed_scheme_file_is_refused(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2 and "malformed scheme file" in err
+    good = tmp_path / "k2.json"
+    save_scheme(complete_graph_scheme(2), good)
+    out_path = str(tmp_path / "x.json")
+    for a, b in ((bad, good), (good, bad)):
+        code, _, err = run(capsys, "product", str(a), str(b), "--out", out_path)
+        assert code == 2 and "cannot load input schemes" in err
 
 
 # ---------------------------------------------------------------------- hey
