@@ -34,17 +34,14 @@ from .localfactors import (
 from .numfields import (
     RATIONAL,
     FieldDescriptor,
-    SplittingData,
     cyclotomic,
     dedekind_local_factor,
-    dedekind_series,
     splitting,
 )
 from .orders import (
     IntegralOrder,
     bad_primes,
     discriminant,
-    locally_coprime,
     order_from_scheme,
     ring_of_integers_order,
     tensor_order,
@@ -86,7 +83,6 @@ __all__ = [
     "PadicRing",
     "RATIONAL",
     "SchemeError",
-    "SplittingData",
     "UPolynomial",
     "UnsupportedCoefficientRingError",
     "bad_primes",
@@ -98,7 +94,6 @@ __all__ = [
     "cyclic_prime_local_factor",
     "cyclotomic",
     "dedekind_local_factor",
-    "dedekind_series",
     "direct_product",
     "discriminant",
     "enumerate_sublattices",
@@ -108,7 +103,6 @@ __all__ = [
     "hey_local_factor",
     "ideal_series",
     "load_scheme",
-    "locally_coprime",
     "maximal_order_catalog",
     "monomial",
     "order_from_scheme",

@@ -221,7 +221,7 @@ def tensor_global_zeta(a: OrderCatalogEntry, b: OrderCatalogEntry) -> GlobalZeta
         for p in sorted(entry.bad_primes):
             factor = LocalFactor.one(p)
             for f_other in other.wedderburn:
-                for e, f in splitting(f_other, p).pairs:
+                for e, f in splitting(f_other, p):
                     factor = factor * entry.local_rule(PadicRing(p, e, f))
             exceptional[p] = factor
     return GlobalZeta(components, exceptional)

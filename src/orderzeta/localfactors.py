@@ -92,9 +92,8 @@ def rank2_local_factor(ring: PadicRing, val: Valuation) -> LocalFactor:
     for r2 in range(v):
         geom = geom + monomial(2 * f * r2, q**r2)
     one_minus = ONE - monomial(f)
-    head = LocalFactor(p, geom, one_minus)
-    tail = LocalFactor(p, monomial(2 * f * v, q**v), one_minus * one_minus)
-    return head + tail
+    num = geom * one_minus + monomial(2 * f * v, q**v)
+    return LocalFactor(p, num, one_minus * one_minus)
 
 
 def rank2_ideal_count(ring: PadicRing, val: Valuation, r1: int, r2: int) -> int:

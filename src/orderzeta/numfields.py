@@ -9,10 +9,9 @@ polynomial factorization is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .arith import is_prime, multiplicative_order, primes_upto
-from .series import ONE, DirichletCoefficients, LocalFactor, euler_expand, monomial
+from .arith import is_prime, multiplicative_order
+from .series import ONE, LocalFactor, monomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,24 +51,9 @@ def cyclotomic(ell: int) -> FieldDescriptor:
     return FieldDescriptor(ell)
 
 
-@dataclass(frozen=True, slots=True)
-class SplittingData:
-    """How a rational prime decomposes in a field.
-
-    `pairs` holds one (ramification index, residue degree) entry per prime
-    of the field above p; the e*f over the entries sum to the field degree.
-    """
-
-    prime: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"(e={e}, f={f})" for e, f in self.pairs)
-        return f"{self.prime}: [{inner}]"
-
-
-def splitting(field: FieldDescriptor, p: int) -> SplittingData:
-    """Decomposition of p in `field`.
+def splitting(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...]:
+    """Decomposition of p in `field`: one (ramification index, residue degree)
+    pair per prime of the field above p; the e*f sum to the field degree.
 
     In Q(e_l): p = l is totally ramified; p != l is unramified with residue
     degree f = ord(p mod l) and (l-1)/f primes above p.
@@ -78,33 +62,17 @@ def splitting(field: FieldDescriptor, p: int) -> SplittingData:
         raise ValueError(f"{p} is not prime")
     ell = field.cyclotomic_prime
     if ell is None:
-        return SplittingData(p, ((1, 1),))
+        return ((1, 1),)
     if p == ell:
-        return SplittingData(p, ((ell - 1, 1),))
+        return ((ell - 1, 1),)
     f = multiplicative_order(p, ell)
     g = (ell - 1) // f
-    return SplittingData(p, ((1, f),) * g)
+    return ((1, f),) * g
 
 
 def dedekind_local_factor(field: FieldDescriptor, p: int) -> LocalFactor:
     """Local Dedekind factor at p: product of (1 - u^f)^{-1} over the primes above p."""
     den = ONE
-    for _e, f in splitting(field, p).pairs:
+    for _e, f in splitting(field, p):
         den = den * (ONE - monomial(f))
     return LocalFactor(p, ONE, den)
-
-
-def dedekind_series(
-    components: Sequence[tuple[FieldDescriptor, int]], bound: int
-) -> DirichletCoefficients:
-    """Coefficients of a product of Dedekind zeta functions with multiplicities."""
-    for _field, mult in components:
-        if mult < 1:
-            raise ValueError("multiplicities must be >= 1")
-    factors = {}
-    for p in primes_upto(bound):
-        f = LocalFactor.one(p)
-        for field, mult in components:
-            f = f * dedekind_local_factor(field, p) ** mult
-        factors[p] = f
-    return euler_expand(factors, bound)

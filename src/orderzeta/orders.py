@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arith import factorize
 from .numfields import FieldDescriptor
-from .schemes import AssociationScheme
+from .schemes import AssociationScheme, tensor_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,22 +101,10 @@ def tensor_order(a: IntegralOrder, b: IntegralOrder) -> IntegralOrder:
     When both factors come from schemes this equals the adjacency ring of
     the direct product scheme, basis order included.
     """
-    ra, rb = a.rank, b.rank
-    table = tuple(
-        tuple(
-            tuple(
-                a.table[i1][i2][k1] * b.table[j1][j2][k2]
-                for k1 in range(ra)
-                for k2 in range(rb)
-            )
-            for i2 in range(ra)
-            for j2 in range(rb)
-        )
-        for i1 in range(ra)
-        for j1 in range(rb)
-    )
     ident = tuple(x * y for x in a.identity for y in b.identity)
-    return IntegralOrder(rank=ra * rb, table=table, identity=ident)
+    return IntegralOrder(
+        rank=a.rank * b.rank, table=tensor_table(a.table, b.table), identity=ident
+    )
 
 
 def ring_of_integers_order(field: FieldDescriptor) -> IntegralOrder:
@@ -189,10 +177,3 @@ def bad_primes(order: IntegralOrder) -> frozenset[int]:
     if disc == 0:
         raise ValueError("zero discriminant: the rational algebra is degenerate")
     return frozenset(factorize(disc))
-
-
-def locally_coprime(a: IntegralOrder, b: IntegralOrder) -> bool:
-    """Sufficient test that at every prime at least one factor completes to a
-    maximal order: the discriminant bad sets are disjoint.  May return
-    False for a pair that is in fact locally coprime; never the reverse."""
-    return bad_primes(a).isdisjoint(bad_primes(b))

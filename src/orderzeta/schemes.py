@@ -95,6 +95,8 @@ def validate(matrices) -> AssociationScheme:
     if not mats:
         raise ValueError("no relation matrices given")
     n = len(mats[0])
+    if n == 0:
+        raise ValueError("relation matrices are 0x0")
     for s, m in enumerate(mats):
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError(f"relation {s} is not a {n}x{n} matrix")
@@ -229,6 +231,29 @@ def cyclic_group_scheme(n: int) -> AssociationScheme:
     )
 
 
+def tensor_table(a, b) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Kronecker product of two multiplication tables c[i][j][k].
+
+    Basis pairs (i, j) are flattened to i * rank(b) + j, so this is both
+    the structure constants of a direct product scheme and the table of
+    a tensor product of orders.
+    """
+    ra, rb = len(a), len(b)
+    return tuple(
+        tuple(
+            tuple(
+                a[i1][i2][k1] * b[j1][j2][k2]
+                for k1 in range(ra)
+                for k2 in range(rb)
+            )
+            for i2 in range(ra)
+            for j2 in range(rb)
+        )
+        for i1 in range(ra)
+        for j1 in range(rb)
+    )
+
+
 def direct_product(a: AssociationScheme, b: AssociationScheme) -> AssociationScheme:
     """Scheme on |X| * |Y| points whose relations are the pairwise tensor
     products; structure constants multiply componentwise."""
@@ -241,33 +266,21 @@ def direct_product(a: AssociationScheme, b: AssociationScheme) -> AssociationSch
         for s in range(a.rank)
         for t in range(b.rank)
     )
-    constants = tuple(
-        tuple(
-            tuple(
-                a.structure_constants[s1][s2][u1] * b.structure_constants[t1][t2][u2]
-                for u1 in range(a.rank)
-                for u2 in range(b.rank)
-            )
-            for s2 in range(a.rank)
-            for t2 in range(b.rank)
-        )
-        for s1 in range(a.rank)
-        for t1 in range(b.rank)
-    )
     return AssociationScheme(
         size=a.size * b.size,
         relations=relations,
         involution=involution,
-        structure_constants=constants,
+        structure_constants=tensor_table(a.structure_constants, b.structure_constants),
     )
 
 
 def scheme_from_dict(data: dict) -> AssociationScheme:
-    """Build and validate a scheme from {"size": n, "relations": [...]}."""
-    if not isinstance(data, dict) or "size" not in data or "relations" not in data:
-        raise ValueError("scheme document needs 'size' and 'relations' fields")
+    """Build and validate a scheme from {"size": n, "relations": [...]};
+    the size is optional and checked against the matrices when given."""
+    if not isinstance(data, dict) or "relations" not in data:
+        raise ValueError("scheme document needs a 'relations' field")
     scheme = validate(data["relations"])
-    if scheme.size != data["size"]:
+    if "size" in data and scheme.size != data["size"]:
         raise ValueError(
             f"declared size {data['size']} but matrices are {scheme.size}x{scheme.size}"
         )

@@ -238,12 +238,9 @@ class LocalFactor:
     def __hash__(self) -> int:
         return hash((self.prime, self.num, self.den))
 
-    def _check_prime(self, other: "LocalFactor") -> None:
+    def __mul__(self, other: "LocalFactor") -> "LocalFactor":
         if self.prime != other.prime:
             raise ValueError(f"mismatched primes: {self.prime} vs {other.prime}")
-
-    def __mul__(self, other: "LocalFactor") -> "LocalFactor":
-        self._check_prime(other)
         return LocalFactor(self.prime, self.num * other.num, self.den * other.den)
 
     def __pow__(self, k: int) -> "LocalFactor":
@@ -252,18 +249,6 @@ class LocalFactor:
         out = LocalFactor.one(self.prime)
         for _ in range(k):
             out = out * self
-        return out
-
-    def __add__(self, other: "LocalFactor") -> "LocalFactor":
-        self._check_prime(other)
-        out = LocalFactor(
-            self.prime,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
-        if out.num.constant_term == 0:
-            # a sum with a_{p^0} = 0 is not a zeta factor
-            raise ValueError("sum has vanishing constant numerator term")
         return out
 
     def expand(self, upto: int) -> list[int]:

@@ -1,13 +1,19 @@
-"""The names the benchmark's tracer wraps must keep resolving.
+"""The names the benchmark uses from the package must keep resolving.
 
 perfbench/tracer.py rebinds the callables listed in its TARGETS table and
-reads the census cache counters; a renamed function or a census cache
-without its counters makes every traced benchmark run fail.
+reads the census cache counters; perfbench/make_reference.py and
+perfbench/selftest.py import names from the package.  A renamed or
+deleted name, or a census cache without its counters, makes the
+benchmark fail.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
+import orderzeta
 from orderzeta import census
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -27,3 +33,28 @@ def test_tracer_targets_resolve(monkeypatch):
 def test_census_cache_exposes_counters():
     assert callable(census.count_left_ideals.cache_clear)
     assert callable(census.count_left_ideals.cache_info)
+
+
+def test_package_exports_resolve():
+    for name in orderzeta.__all__:
+        assert hasattr(orderzeta, name), name
+
+
+def _imported_from_package(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "orderzeta"
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("script", ["make_reference.py", "selftest.py"])
+def test_perfbench_imports_resolve(script):
+    names = _imported_from_package(PERFBENCH / script)
+    assert names
+    for name in names:
+        # `from orderzeta import cli` also finds submodules
+        if not hasattr(orderzeta, name):
+            importlib.import_module(f"orderzeta.{name}")

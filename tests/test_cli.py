@@ -278,6 +278,9 @@ MALFORMED_SCHEMES = [
     {"size": 1, "relations": 5},
     {"size": 1, "relations": [[1]]},
     {"size": 1, "relations": [[[None]]]},
+    {"size": 0, "relations": [[]]},
+    {"size": 2, "matrices": [[[1, 0], [0, 1]]]},
+    [1],
 ]
 
 
@@ -293,6 +296,16 @@ def test_malformed_scheme_file_is_refused(capsys, tmp_path, doc):
     for a, b in ((bad, good), (good, bad)):
         code, _, err = run(capsys, "product", str(a), str(b), "--out", out_path)
         assert code == 2 and "cannot load input schemes" in err
+
+
+def test_product_accepts_file_without_size(capsys, tmp_path):
+    a, b = tmp_path / "k2.json", tmp_path / "k3.json"
+    a.write_text(json.dumps({"relations": complete_graph_scheme(2).to_dict()["relations"]}))
+    save_scheme(complete_graph_scheme(3), b)
+    out_path = tmp_path / "k2k3.json"
+    code, out, _ = run(capsys, "product", str(a), str(b), "--out", str(out_path))
+    assert code == 0 and "rank 4 scheme on 6 points" in out
+    assert json.loads(out_path.read_text())["size"] == 6
 
 
 # ---------------------------------------------------------------------- hey

@@ -8,7 +8,6 @@ from orderzeta.orders import (
     IntegralOrder,
     bad_primes,
     discriminant,
-    locally_coprime,
     order_from_scheme,
     ring_of_integers_order,
     tensor_order,
@@ -161,9 +160,9 @@ def test_locally_coprime():
     k2 = order_from_scheme(complete_graph_scheme(2))
     k4 = order_from_scheme(complete_graph_scheme(4))
     k9 = order_from_scheme(complete_graph_scheme(9))
-    assert locally_coprime(c3, c2)
-    assert locally_coprime(k4, k9)
-    assert not locally_coprime(c2, k2)
+    assert bad_primes(c3).isdisjoint(bad_primes(c2))
+    assert bad_primes(k4).isdisjoint(bad_primes(k9))
+    assert not bad_primes(c2).isdisjoint(bad_primes(k2))
 
 
 # ----------------------------------------------------------- rings of integers

@@ -110,37 +110,6 @@ def test_mul_cancels_common_factor():
 def test_mul_mismatched_primes():
     with pytest.raises(ValueError):
         LocalFactor.one(2) * LocalFactor.one(3)
-    with pytest.raises(ValueError):
-        LocalFactor.one(2) + LocalFactor.one(3)
-
-
-def test_add_two_term_rank2_shape():
-    # head + tail of the rank-2 sum, p = 2, e = f = val = 1
-    for p in (2, 3, 5):
-        head = LocalFactor(p, ONE, ONE_MINUS_U)
-        tail = LocalFactor(p, monomial(2, p), ONE_MINUS_U * ONE_MINUS_U)
-        s = head + tail
-        assert s.num == U((1, -1, p))
-        assert s.den == ONE_MINUS_U * ONE_MINUS_U
-
-
-def test_add_zero_is_identity():
-    f = LocalFactor(2, U((1, -1, 2)), ONE_MINUS_U)
-    zero = LocalFactor(2, ZERO, ONE)
-    assert f + zero == f
-
-
-def test_add_cross_multiplication():
-    # oracle: (1+u) + (1-u) = 2 over (1-u)(1+u) = 1 - u^2
-    s = LocalFactor(2, ONE, ONE_MINUS_U) + LocalFactor(2, ONE, U((1, 1)))
-    assert s.num == U((2,)) and s.den == U((1, 0, -1))
-
-
-def test_add_rejects_vanishing_constant():
-    f = LocalFactor(2, ONE, ONE_MINUS_U)
-    g = LocalFactor(2, U((-1,)), ONE_MINUS_U)
-    with pytest.raises(ValueError):
-        f + g
 
 
 def test_expand_geometric():
@@ -189,18 +158,6 @@ def test_expansion_prefix_property(f, k1, k2):
 def test_product_expands_to_convolution(a, b, k):
     ea, eb = a.expand(k), b.expand(k)
     assert (a * b).expand(k) == naive_convolution(ea, eb, k)
-
-
-@given(factors(), factors())
-def test_add_commutes_on_zeta_shaped_factors(a, b):
-    # both constants are positive, so the sum never loses its constant term
-    assert a + b == b + a
-
-
-@given(factors(), factors(), st.integers(min_value=0, max_value=6))
-def test_add_expands_to_coefficient_sum(a, b, k):
-    ea, eb = a.expand(k), b.expand(k)
-    assert (a + b).expand(k) == [x + y for x, y in zip(ea, eb)]
 
 
 @given(factors(), st.lists(small_ints, min_size=1, max_size=3))
