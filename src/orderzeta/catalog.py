@@ -17,6 +17,7 @@ maximal order of F.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,18 +95,6 @@ class GlobalZeta:
     @property
     def degree(self) -> int:
         return sum(f.degree * mult for f, mult in self.components)
-
-
-def _merge_components(fields) -> tuple[tuple[FieldDescriptor, int], ...]:
-    out: list[list] = []
-    for f in fields:
-        for entry in out:
-            if entry[0] == f:
-                entry[1] += 1
-                break
-        else:
-            out.append([f, 1])
-    return tuple((f, m) for f, m in out)
 
 
 def maximal_order_catalog(field: FieldDescriptor) -> OrderCatalogEntry:
@@ -213,8 +202,10 @@ def tensor_global_zeta(a: OrderCatalogEntry, b: OrderCatalogEntry) -> GlobalZeta
             f"{sorted(shared)}; the product formula needs at least one factor "
             f"maximal at every prime"
         )
-    components = _merge_components(
-        _compositum(fa, fb) for fa in a.wedderburn for fb in b.wedderburn
+    components = tuple(
+        Counter(
+            _compositum(fa, fb) for fa in a.wedderburn for fb in b.wedderburn
+        ).items()
     )
     exceptional: dict[int, LocalFactor] = {}
     for entry, other in ((a, b), (b, a)):

@@ -15,9 +15,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors
+from .arith import divisors, factorize
+from .localfactors import HeyComponent, PadicRing, hey_local_factor
 from .orders import IntegralOrder
 from .series import DirichletCoefficients, multiplicative_series
+
+# most sublattices one `ideal_series` call may enumerate
+CENSUS_BUDGET = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +169,32 @@ def count_left_ideals(order: IntegralOrder, index: int) -> int:
     return count
 
 
+def _check_budget(rank: int, bound: int, prime_powers_only: bool) -> None:
+    """Refuse a census over more than CENSUS_BUDGET sublattices of Z^rank.
+
+    Z^rank has as many sublattices of index p^k as the u^k coefficient of
+    the Hey factor of Z_p^rank, and the count is multiplicative in the
+    index, so the total is known before anything is enumerated.
+    """
+    hey = {}
+    total = 0
+    for n in range(2, bound + 1):
+        parts = factorize(n)
+        if prime_powers_only and len(parts) > 1:
+            continue
+        count = 1
+        for p, k in parts.items():
+            if p not in hey:
+                hey[p] = hey_local_factor(HeyComponent(1, 1, rank, PadicRing(p)))
+            count *= hey[p].expand(k)[k]
+        total += count
+        if total > CENSUS_BUDGET:
+            raise ValueError(
+                f"a census up to index {bound} enumerates more than "
+                f"{CENSUS_BUDGET:,} sublattices of Z^{rank}"
+            )
+
+
 def ideal_series(
     order: IntegralOrder, bound: int, prime_powers_only: bool = False
 ) -> DirichletCoefficients:
@@ -178,6 +208,7 @@ def ideal_series(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
+    _check_budget(order.rank, bound, prime_powers_only)
     if prime_powers_only:
 
         def local(p: int, k: int) -> list[int]:

@@ -186,16 +186,15 @@ def _cmd_expand(args) -> int:
 
 def _cmd_compare(args) -> int:
     con = _build_construction(args.construction, args.params)
-    bound = min(args.N, args.oracle_N) if args.oracle_N else args.N
-    formula = expand_global(con.zeta, bound).values
+    formula = expand_global(con.zeta, args.N).values
     oracle = ideal_series(
-        con.order, bound, prime_powers_only=args.prime_powers_only
+        con.order, args.N, prime_powers_only=args.prime_powers_only
     ).values
-    mismatches = [n for n in range(1, bound + 1) if formula[n - 1] != oracle[n - 1]]
+    mismatches = [n for n in range(1, args.N + 1) if formula[n - 1] != oracle[n - 1]]
     for note in con.notes:
         print(note, file=sys.stderr)
     _emit(
-        _format_compare(con.label, bound, formula, oracle, mismatches, args.format),
+        _format_compare(con.label, args.N, formula, oracle, mismatches, args.format),
         args.out,
     )
     if mismatches:
@@ -283,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("construction", help=construction_help)
     p_compare.add_argument("params", nargs="*")
     p_compare.add_argument("--N", type=_positive_int, default=12)
-    p_compare.add_argument(
-        "--oracle-N", type=_positive_int, default=None, dest="oracle_N",
-        help="cap the census bound (defaults to --N)",
-    )
     p_compare.add_argument(
         "--prime-powers-only", action="store_true",
         help="census only prime-power indices, fill composites multiplicatively",

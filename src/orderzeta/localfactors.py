@@ -8,30 +8,17 @@ formula for maximal orders in p-adic simple algebras.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arith import is_prime, valuation
 from .series import ONE, ZERO, LocalFactor, UPolynomial, monomial
 
 
-class _InfiniteValuation:
-    """Valuation of n = 0: larger than every integer."""
+# valuation of n = 0: larger than every integer
+INFINITE = math.inf
 
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _InfiniteValuation()
-
-Valuation = int | _InfiniteValuation
+Valuation = int | float
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +69,7 @@ def rank2_local_factor(ring: PadicRing, val: Valuation) -> LocalFactor:
     """
     p, e, f = ring.prime, ring.ramification, ring.residue_degree
     q = p**f
-    if val is INFINITE:
+    if val == INFINITE:
         den = (ONE - monomial(f)) * (ONE - monomial(2 * f, q))
         return LocalFactor(p, ONE, den)
     if not isinstance(val, int) or val < 0:
@@ -107,7 +94,7 @@ def rank2_ideal_count(ring: PadicRing, val: Valuation, r1: int, r2: int) -> int:
         raise ValueError("exponents must be nonnegative")
     p, e, f = ring.prime, ring.ramification, ring.residue_degree
     q = p**f
-    if val is INFINITE:
+    if val == INFINITE:
         return q**r2 if r1 >= r2 else 0
     if not isinstance(val, int) or val < 0:
         raise ValueError(f"valuation must be a nonnegative integer or INFINITE: {val}")

@@ -87,9 +87,8 @@ class IntegralOrder:
 
 def order_from_scheme(scheme: AssociationScheme) -> IntegralOrder:
     """The adjacency ring: basis = relation matrices, table = structure constants."""
-    ident = tuple(
-        1 if s == scheme.identity_index else 0 for s in range(scheme.rank)
-    )
+    # relation 0 is the identity: AssociationScheme keeps it first
+    ident = (1,) + (0,) * (scheme.rank - 1)
     return IntegralOrder(
         rank=scheme.rank, table=scheme.structure_constants, identity=ident
     )

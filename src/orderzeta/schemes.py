@@ -50,14 +50,12 @@ def _kron(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True, slots=True)
 class AssociationScheme:
-    """A validated scheme: relations (identity first), the transpose map
-    s -> s*, and the structure constants c[s][t][u] of sigma_s sigma_t."""
+    """A validated scheme: relations (identity first) and the structure
+    constants c[s][t][u] of sigma_s sigma_t."""
 
     size: int
     relations: tuple[Matrix, ...]
-    involution: tuple[int, ...]
     structure_constants: tuple[tuple[tuple[int, ...], ...], ...]
-    identity_index: int = 0
 
     @property
     def rank(self) -> int:
@@ -87,7 +85,8 @@ def validate(matrices) -> AssociationScheme:
         raise ValueError("relations must be a list of matrices")
     for s, m in enumerate(matrices):
         if not isinstance(m, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) and all(isinstance(x, int) for x in row)
+            isinstance(row, (list, tuple))
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
             for row in m
         ):
             raise ValueError(f"relation {s} is not a list of rows of integers")
@@ -128,19 +127,15 @@ def validate(matrices) -> AssociationScheme:
                 raise SchemeError(2, f"no relation covers the pair {(x, y)}")
 
     # condition 3: closed under transpose
-    index_of = {m: s for s, m in enumerate(mats)}
-    raw_involution = []
+    relation_set = set(mats)
     for s, m in enumerate(mats):
-        t = index_of.get(_transpose(m))
-        if t is None:
+        if _transpose(m) not in relation_set:
             raise SchemeError(3, f"transpose of relation {s} is not a relation")
-        raw_involution.append(t)
 
     # canonical order: identity first, then input order
     perm = [id_idx] + [s for s in range(len(mats)) if s != id_idx]
     new_index = {old: new for new, old in enumerate(perm)}
     relations = tuple(mats[old] for old in perm)
-    involution = tuple(new_index[raw_involution[old]] for old in perm)
     for x in range(n):
         for y in range(n):
             owner[x][y] = new_index[owner[x][y]]
@@ -178,7 +173,6 @@ def validate(matrices) -> AssociationScheme:
     return AssociationScheme(
         size=n,
         relations=relations,
-        involution=involution,
         structure_constants=tuple(constants),
     )
 
@@ -199,7 +193,6 @@ def complete_graph_scheme(n: int) -> AssociationScheme:
     return AssociationScheme(
         size=n,
         relations=(ident, other),
-        involution=(0, 1),
         structure_constants=constants,
     )
 
@@ -226,7 +219,6 @@ def cyclic_group_scheme(n: int) -> AssociationScheme:
     return AssociationScheme(
         size=n,
         relations=relations,
-        involution=tuple((n - s) % n for s in range(n)),
         structure_constants=constants,
     )
 
@@ -257,19 +249,12 @@ def tensor_table(a, b) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def direct_product(a: AssociationScheme, b: AssociationScheme) -> AssociationScheme:
     """Scheme on |X| * |Y| points whose relations are the pairwise tensor
     products; structure constants multiply componentwise."""
-    rb = b.rank
     relations = tuple(
         _kron(ma, mb) for ma in a.relations for mb in b.relations
-    )
-    involution = tuple(
-        a.involution[s] * rb + b.involution[t]
-        for s in range(a.rank)
-        for t in range(b.rank)
     )
     return AssociationScheme(
         size=a.size * b.size,
         relations=relations,
-        involution=involution,
         structure_constants=tensor_table(a.structure_constants, b.structure_constants),
     )
 

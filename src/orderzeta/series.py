@@ -315,20 +315,6 @@ class DirichletCoefficients:
     def __hash__(self) -> int:
         return hash((self.bound, self.values))
 
-    def __mul__(self, other: "DirichletCoefficients") -> "DirichletCoefficients":
-        """Dirichlet convolution c_n = sum_{d|n} a_d * b_{n/d}."""
-        if self.bound != other.bound:
-            raise ValueError("bound mismatch in Dirichlet convolution")
-        n = self.bound
-        out = [0] * (n + 1)
-        for d in range(1, n + 1):
-            ad = self.values[d - 1]
-            if ad == 0:
-                continue
-            for m in range(d, n + 1, d):
-                out[m] += ad * other.values[m // d - 1]
-        return DirichletCoefficients(n, out[1:])
-
     def __repr__(self) -> str:
         return f"DirichletCoefficients(N={self.bound}, {list(self.values)!r})"
 

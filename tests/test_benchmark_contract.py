@@ -2,9 +2,9 @@
 
 perfbench/tracer.py rebinds the callables listed in its TARGETS table and
 reads the census cache counters; perfbench/make_reference.py and
-perfbench/selftest.py import names from the package.  A renamed or
-deleted name, or a census cache without its counters, makes the
-benchmark fail.
+perfbench/selftest.py import names from the package; perfbench/workloads.py
+sends argv lists through the CLI.  A renamed or deleted name or flag, or a
+census cache without its counters, makes the benchmark fail.
 """
 
 import ast
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import orderzeta
-from orderzeta import census
+from orderzeta import census, cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +58,16 @@ def test_perfbench_imports_resolve(script):
         # `from orderzeta import cli` also finds submodules
         if not hasattr(orderzeta, name):
             importlib.import_module(f"orderzeta.{name}")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["expand-large", "census-deep", "session-mix"])
+def test_workload_argv_parses(monkeypatch, tmp_path, workload, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    requests = workloads.build(workload, seed, str(tmp_path))
+    assert requests
+    parser = cli.build_parser()
+    out = str(tmp_path / "out")
+    for request in requests:
+        parser.parse_args([arg.replace("{out}", out) for arg in request["argv"]])

@@ -154,12 +154,6 @@ def test_compare_zc6_notes_attachment(capsys):
     assert all(r[3] == "true" for r in parse_csv(out)[1:])
 
 
-def test_compare_oracle_bound_caps_table(capsys):
-    code, out, _ = run(capsys, "compare", "kn", "3", "--N", "20", "--oracle-N", "6")
-    assert code == 0
-    assert len(parse_csv(out)) == 7  # header + n = 1..6
-
-
 def test_compare_json_reports_match(capsys):
     code, out, _ = run(
         capsys, "compare", "kn", "3", "--N", "9", "--format", "json"
@@ -201,6 +195,17 @@ def test_compare_formats_agree(capsys):
     csv_rows = [(int(r[0]), int(r[1]), int(r[2])) for r in parse_csv(out_csv)[1:]]
     json_rows = [(n, a, o) for n, a, o, _m in json.loads(out_json)["rows"]]
     assert csv_rows == json_rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cp-x-kn", "5", "3"], ["rank2-over", "4", "cyclo7"]],
+)
+def test_compare_over_census_budget_is_refused(capsys, argv):
+    # 1.1e9 and 8.2e10 sublattices, far past the budget
+    code, out, err = run(capsys, "compare", *argv, "--N", "10", "--prime-powers-only")
+    assert code == 2 and "sublattices" in err
+    assert out == ""
 
 
 # ------------------------------------------------------------------ validate
@@ -281,6 +286,7 @@ MALFORMED_SCHEMES = [
     {"size": 0, "relations": [[]]},
     {"size": 2, "matrices": [[[1, 0], [0, 1]]]},
     [1],
+    {"relations": [[[True, False], [False, True]], [[False, True], [True, False]]]},
 ]
 
 

@@ -31,7 +31,6 @@ def complement(m):
 def test_validate_complete_graph_three():
     scheme = validate([ident(3), complement(ident(3))])
     assert scheme.rank == 2 and scheme.size == 3
-    assert scheme.identity_index == 0
     assert scheme.structure_constants[1][1] == (2, 1)
 
 
@@ -44,14 +43,12 @@ def test_validate_c2():
     swap = ((0, 1), (1, 0))
     scheme = validate([ident(2), swap])
     assert scheme.structure_constants[1][1] == (1, 0)  # sigma_1^2 = sigma_0
-    assert scheme.involution == (0, 1)
 
 
 def test_validate_reorders_identity_first():
     swap = ((0, 1), (1, 0))
     scheme = validate([swap, ident(2)])
     assert scheme.relations[0] == ident(2)
-    assert scheme.identity_index == 0
 
 
 def test_validate_missing_identity():
@@ -122,7 +119,6 @@ def test_complete_graph_two_is_c2():
 def test_cyclic_three_table():
     scheme = cyclic_group_scheme(3)
     assert scheme.structure_constants[1][2] == (1, 0, 0)  # sigma_1 sigma_2 = sigma_0
-    assert scheme.involution == (0, 2, 1)
     assert scheme.valencies == (1, 1, 1)
 
 

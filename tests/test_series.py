@@ -242,33 +242,3 @@ def test_euler_expand_multiplicative():
         for n in range(1, 21):
             if m * n <= 20 and gcd(m, n) == 1:
                 assert series[m * n] == series[m] * series[n]
-
-
-def test_convolution_divisor_square():
-    ones = DirichletCoefficients(12, (1,) * 12)
-    d = ones * ones
-    assert d[12] == 6
-    # identity element of convolution
-    e = DirichletCoefficients(12, (1,) + (0,) * 11)
-    assert d * e == d
-    # hand oracle at n = 4: 1*3 + 2*2 + 3*1
-    d4 = DirichletCoefficients(4, (1,) * 4) * DirichletCoefficients(4, (1,) * 4)
-    assert (d4 * d4)[4] == 1 * 3 + 2 * 2 + 3 * 1
-
-
-def test_convolution_bound_mismatch():
-    with pytest.raises(ValueError):
-        DirichletCoefficients(3, (1, 0, 0)) * DirichletCoefficients(4, (1, 0, 0, 0))
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=9), min_size=7, max_size=7),
-    st.lists(st.integers(min_value=0, max_value=9), min_size=7, max_size=7),
-    st.lists(st.integers(min_value=0, max_value=9), min_size=7, max_size=7),
-)
-def test_convolution_commutative_associative(a, b, c):
-    sa = DirichletCoefficients(8, [1] + a)
-    sb = DirichletCoefficients(8, [1] + b)
-    sc = DirichletCoefficients(8, [1] + c)
-    assert sa * sb == sb * sa
-    assert (sa * sb) * sc == sa * (sb * sc)
