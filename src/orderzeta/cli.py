@@ -43,11 +43,16 @@ class Construction:
     notes: list[str] = field(default_factory=list)
 
 
+# largest --N that `expand` and `compare` accept
+MAX_N = 10**7
+
+
 def _parse_field(text: str) -> FieldDescriptor:
     if text.upper() == "Q":
         return RATIONAL
-    if text.lower().startswith("cyclo"):
-        return cyclotomic(int(text[5:]))
+    prefix, digits = text[:5], text[5:]
+    if prefix.lower() == "cyclo" and digits.isascii() and digits.isdigit():
+        return cyclotomic(int(digits))
     raise ValueError(f"unknown field {text!r}; use Q or cyclo<prime>")
 
 
@@ -131,6 +136,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _series_bound(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_N:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_N}")
+    return value
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -186,10 +198,11 @@ def _cmd_expand(args) -> int:
 
 def _cmd_compare(args) -> int:
     con = _build_construction(args.construction, args.params)
-    formula = expand_global(con.zeta, args.N).values
+    # the census refuses an over-budget request before any work is done
     oracle = ideal_series(
         con.order, args.N, prime_powers_only=args.prime_powers_only
     ).values
+    formula = expand_global(con.zeta, args.N).values
     mismatches = [n for n in range(1, args.N + 1) if formula[n - 1] != oracle[n - 1]]
     for note in con.notes:
         print(note, file=sys.stderr)
@@ -274,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="coefficient table of a construction")
     p_expand.add_argument("construction", help=construction_help)
     p_expand.add_argument("params", nargs="*")
-    p_expand.add_argument("--N", type=_positive_int, default=20)
+    p_expand.add_argument("--N", type=_series_bound, default=20)
     add_io(p_expand)
     p_expand.set_defaults(func=_cmd_expand)
 
     p_compare = sub.add_parser("compare", help="formula vs brute-force census")
     p_compare.add_argument("construction", help=construction_help)
     p_compare.add_argument("params", nargs="*")
-    p_compare.add_argument("--N", type=_positive_int, default=12)
+    p_compare.add_argument("--N", type=_series_bound, default=12)
     p_compare.add_argument(
         "--prime-powers-only", action="store_true",
         help="census only prime-power indices, fill composites multiplicatively",

@@ -8,8 +8,14 @@ from orderzeta.census import (
     enumerate_sublattices,
     ideal_series,
 )
+from orderzeta.catalog import (
+    complete_graph_catalog,
+    cyclic_prime_catalog,
+    maximal_order_catalog,
+)
 from orderzeta.localfactors import HeyComponent, PadicRing, hey_local_factor
-from orderzeta.orders import IntegralOrder, order_from_scheme
+from orderzeta.numfields import cyclotomic
+from orderzeta.orders import IntegralOrder, order_from_scheme, tensor_order
 from orderzeta.schemes import complete_graph_scheme, cyclic_group_scheme
 
 ZC2 = order_from_scheme(cyclic_group_scheme(2))
@@ -19,6 +25,12 @@ def nilpotent_rank2():
     return IntegralOrder(
         rank=2, table=(((1, 0), (0, 1)), ((0, 1), (0, 0))), identity=(1, 0)
     )
+
+
+def upper_triangular():
+    # Z-span of E11, E12, E22 in 2x2 integer matrices: not commutative
+    e0, e1, e2, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    return IntegralOrder(3, ((e0, e1, z), (z, z, e1), (z, z, e2)), (1, 0, 1))
 
 
 # -------------------------------------------------------------------- HNF
@@ -182,3 +194,60 @@ def test_split_ring_ideals_are_ordered_factorizations():
             p: LocalFactor(p, ONE, UPolynomial((1, -1)) ** r) for p in primes_upto(12)
         }
         assert ideal_series(split, 12) == euler_expand(factors, 12)
+
+
+# ------------------------------------------------------- differential oracle
+
+def naive_left_ideal_count(order, index):
+    # every basis of enumerate_sublattices, tested row by row with contains
+    r = order.rank
+    units = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    return sum(
+        all(
+            basis.contains(order.multiply(e_k, row))
+            for e_k in units
+            for row in basis.rows
+        )
+        for basis in enumerate_sublattices(r, index)
+    )
+
+
+DIFFERENTIAL_ORDERS = {
+    "cp 3": (lambda: cyclic_prime_catalog(3).order, 27),
+    "cp 5": (lambda: cyclic_prime_catalog(5).order, 8),
+    "kn 4": (lambda: complete_graph_catalog(4).order, 32),
+    "km-x-kn 2 3": (
+        lambda: tensor_order(
+            complete_graph_catalog(2).order, complete_graph_catalog(3).order
+        ),
+        9,
+    ),
+    "zc6": (
+        lambda: tensor_order(
+            cyclic_prime_catalog(3).order, complete_graph_catalog(2).order
+        ),
+        5,
+    ),
+    "rank2-over 2 cyclo3": (
+        lambda: tensor_order(
+            maximal_order_catalog(cyclotomic(3)).order,
+            complete_graph_catalog(2).order,
+        ),
+        9,
+    ),
+    "upper triangular": (upper_triangular, 16),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_ORDERS)
+def test_count_left_ideals_matches_naive_census(name):
+    make, bound = DIFFERENTIAL_ORDERS[name]
+    order = make()
+    for n in range(1, bound + 1):
+        assert count_left_ideals(order, n) == naive_left_ideal_count(order, n), n
+
+
+def test_upper_triangular_counts_pinned():
+    # a transposed multiplication matrix or a dropped outer slot moves these
+    counts = [count_left_ideals(upper_triangular(), n) for n in range(1, 17)]
+    assert counts == [1, 2, 2, 5, 2, 4, 2, 8, 6, 4, 2, 10, 2, 4, 4, 15]

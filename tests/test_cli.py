@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from orderzeta.cli import CONSTRUCTIONS, main
+from orderzeta.cli import CONSTRUCTIONS, MAX_N, build_parser, main
 from orderzeta.schemes import (
     complete_graph_scheme,
     cyclic_group_scheme,
@@ -111,6 +111,27 @@ def test_expand_invalid_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["cyclo 5", "cyclo0_5", "cyclo\u0665", "cyclo", "cycloabc"])
+def test_rank2_over_field_must_be_cyclo_and_ascii_digits(capsys, field):
+    code, out, err = run(capsys, "expand", "rank2-over", "2", field, "--N", "4")
+    assert code == 2 and out == ""
+    assert f"unknown field {field!r}; use Q or cyclo<prime>" in err
+
+
+@pytest.mark.parametrize("command", ["expand", "compare"])
+def test_n_above_cap_is_refused(capsys, command):
+    code, out, err = run(capsys, command, "kn", "3", "--N", str(MAX_N + 1))
+    assert code == 2 and out == ""
+    assert f"must be at most {MAX_N}" in err
+
+
+@pytest.mark.parametrize("command", ["expand", "compare"])
+def test_n_at_cap_parses(command):
+    # parsed only: a run at this bound would take minutes
+    args = build_parser().parse_args([command, "kn", "3", "--N", str(MAX_N)])
+    assert args.N == MAX_N == 10**7
+
+
 # ------------------------------------------------------------------ compare
 
 def test_compare_cp3(capsys):
@@ -204,6 +225,18 @@ def test_compare_formats_agree(capsys):
 def test_compare_over_census_budget_is_refused(capsys, argv):
     # 1.1e9 and 8.2e10 sublattices, far past the budget
     code, out, err = run(capsys, "compare", *argv, "--N", "10", "--prime-powers-only")
+    assert code == 2 and "sublattices" in err
+    assert out == ""
+
+
+def test_compare_refuses_before_expanding_the_formula(capsys, monkeypatch):
+    import orderzeta.cli as cli_mod
+
+    def no_expand(zeta, bound):
+        raise AssertionError("formula expanded before the census budget check")
+
+    monkeypatch.setattr(cli_mod, "expand_global", no_expand)
+    code, out, err = run(capsys, "compare", "kn", "3", "--N", "100000")
     assert code == 2 and "sublattices" in err
     assert out == ""
 
