@@ -8,12 +8,22 @@ multiplication by every basis element, tested by exact back substitution.
 This is the ground truth every closed-form factor is compared against;
 no floating point appears anywhere.
 
+Closure is tested only against ring generators: the b with bL inside L
+form a subring containing 1, so L is an ideal once it is closed under a
+set of basis elements whose words span the order over Z.  Such a set is
+chosen once per order, greedily and single elements first, with exact
+integer echelon forms (`_generator_tables`).
+
 The closure test is split at the last column c whose pivot exceeds 1:
 back substitution over the coordinates before c is shared by every
 lattice with the same entries left of column c, so each lattice costs
-one congruence mod d_c per (matrix, row) check instead of a full back
-substitution.  On a 2-core Xeon VM this took perfbench's census-deep
-pass from a median 10.7 s to 1.23 s.
+one congruence mod d_c per (generator, row) check instead of a full back
+substitution.  Once the entries a_0..a_{c-2} of column c are fixed,
+every check not indexed by a_{c-1} is a linear congruence in a_{c-1};
+the census visits only the solution class of the most restrictive one
+(`_count_inner`).  On a 2-core Xeon VM the generators and the solved
+last coordinate took perfbench's census-deep pass from a median
+1.30 s to 0.29 s.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
 from operator import mul
 
 from .arith import divisors, factorize
@@ -118,6 +129,92 @@ def enumerate_sublattices(rank: int, index: int):
             yield HnfBasis(tuple(map(tuple, rows)))
 
 
+def _echelon(vectors, r: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite normal form of the Z-span of integer vectors of length r:
+    positive pivots, entries above each pivot reduced mod it, no zero
+    rows.  Equal spans give equal results."""
+    rows = [list(v) for v in vectors if any(v)]
+    out = []
+    for col in range(r):
+        live = [row for row in rows if row[col]]
+        rest = [row for row in rows if not row[col]]
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[col]))
+            pivot = live[0]
+            kept = [pivot]
+            for row in live[1:]:
+                q = row[col] // pivot[col]
+                row = [a - q * b for a, b in zip(row, pivot)]
+                (kept if row[col] else rest).append(row)
+            live = kept
+        if live:
+            pivot = live[0]
+            out.append(pivot if pivot[col] > 0 else [-a for a in pivot])
+        rows = [row for row in rest if any(row)]
+    for k, pivot in enumerate(out):
+        col = next(j for j, a in enumerate(pivot) if a)
+        for row in out[:k]:
+            q = row[col] // pivot[col]
+            if q:
+                row[:] = [a - q * b for a, b in zip(row, pivot)]
+    return tuple(map(tuple, out))
+
+
+def _subring_span(identity, tables, r: int):
+    """Echelon form of the Z-span of all words in the elements whose
+    left-multiplication columns are `tables`: the smallest module that
+    holds 1 and is closed under left multiplication by each of them."""
+    span = _echelon([identity], r)
+    while True:
+        images = [
+            tuple(sum(v[j] * cols[j][k] for j in range(r)) for k in range(r))
+            for cols in tables
+            for v in span
+        ]
+        grown = _echelon(span + tuple(images), r)
+        if grown == span:
+            return span
+        span = grown
+
+
+@lru_cache(maxsize=None)
+def _generator_tables(order: IntegralOrder):
+    """Left-multiplication tables of a small set of basis elements that
+    generate the order as a ring.
+
+    A lattice closed under left multiplication by these is closed under
+    the whole order, since the elements b with bL inside L form a subring
+    containing 1.  Starting from no generators, the basis element whose
+    addition spans the most (highest rank, then smallest index) is added
+    until the words span Z^rank exactly; a subring of finite index is not
+    enough.
+    """
+    r = order.rank
+    unit = tuple(tuple(int(k == j) for k in range(r)) for j in range(r))
+    # b_m e_j = table[m][j]: table[m] lists the columns of left
+    # multiplication by b_m, and a unit table never generates anything new
+    candidates = [cols for cols in dict.fromkeys(order.table) if cols != unit]
+    chosen = []
+    span = _subring_span(order.identity, chosen, r)
+    while span != unit:
+        spans = {
+            cols: _subring_span(order.identity, chosen + [cols], r)
+            for cols in candidates
+            if cols not in chosen
+        }
+        # rank of the span first, then the product of its pivots
+        best = max(
+            spans,
+            key=lambda cols: (
+                len(spans[cols]),
+                -prod(next(filter(None, row)) for row in spans[cols]),
+            ),
+        )
+        chosen.append(best)
+        span = spans[best]
+    return tuple(chosen)
+
+
 def _check_tables(mats, diag, rows, c):
     """Share one outer fill's closure checks across the inner fills.
 
@@ -177,32 +274,83 @@ def _check_tables(mats, diag, rows, c):
     return checks
 
 
+def _count_inner(checks, c: int, dc: int) -> int:
+    """Inner fills (a_0, ..., a_{c-1}) of column c that pass every check.
+
+    With the prefix a_0..a_{c-2} fixed, each check whose table is not
+    indexed by x = a_{c-1} reads s + t x = 0 (mod d_c).  With g =
+    gcd(t, d_c), the prefix fails outright when g does not divide s;
+    otherwise x runs over the solution class, mod d_c / g, of the check
+    with the smallest g, and every lattice skipped fails that check.
+    Visited values are decided by all the congruences and by the tables
+    of row c-1.  With c = 0 there is one lattice and no inner fill.
+    """
+    if c == 0:
+        return int(not checks)
+    last = [table for i, table in checks if i == c - 1]
+    linear = [(i, table) for i, table in checks if i != c - 1]
+    count = 0
+    for a in itertools.product(range(dc), repeat=c - 1):
+        congruences = []
+        best = None
+        for i, table in linear:
+            entry = table[a[i]] if i < c else table[0]
+            if entry is None:
+                break
+            wc, qs = entry
+            # map stops at the prefix: s sums the terms before a_{c-1}
+            s, t = sum(map(mul, qs, a), wc), qs[-1]
+            g = gcd(t, dc)
+            if s % g:
+                break
+            congruences.append((s, t))
+            if best is None or g < best[0]:
+                best = (g, s, t)
+        else:
+            if best is None:
+                xs = range(dc)
+            else:
+                g, s, t = best
+                m = dc // g
+                xs = range(-s // g * pow(t // g, -1, m) % m, dc, m)
+            for x in xs:
+                if any((s + t * x) % dc for s, t in congruences):
+                    continue
+                for table in last:
+                    entry = table[x]
+                    if entry is None:
+                        break
+                    wc, qs = entry
+                    if (sum(map(mul, qs, a), wc) + qs[-1] * x) % dc:
+                        break
+                else:
+                    count += 1
+    return count
+
+
 @lru_cache(maxsize=None)
 def count_left_ideals(order: IntegralOrder, index: int) -> int:
     """Number of index-`index` sublattices of the order closed under left
     multiplication by every basis element.
 
     A lattice L is an ideal exactly when M h lies in L for every
-    left-multiplication matrix M and every HNF row h.  Per diagonal, with
-    c the last column whose pivot d_c exceeds 1, a lattice is an outer
-    fill of the columns before c plus an inner fill of column c; the
-    work of every check that depends only on the outer fill is done once
-    (`_check_tables`), and each inner fill is then decided by one
-    congruence mod d_c per remaining check.
+    left-multiplication matrix M of a ring generator
+    (`_generator_tables`) and every HNF row h.  Per diagonal, with c the
+    last column whose pivot d_c exceeds 1, a lattice is an outer fill of
+    the columns before c plus an inner fill of column c; the work of
+    every check that depends only on the outer fill is done once
+    (`_check_tables`), and the inner fills are then counted by
+    congruences mod d_c with the last entry solved (`_count_inner`).
     """
     if index < 1:
         raise ValueError("index must be positive")
     if index == 1:
         return 1
     r = order.rank
-    unit = tuple(tuple(int(k == j) for k in range(r)) for j in range(r))
-    # b_m e_j = table[m][j]: table[m] lists the columns of left
-    # multiplication by b_m, and a unit table maps every lattice into itself
-    mats = [cols for cols in dict.fromkeys(order.table) if cols != unit]
+    mats = _generator_tables(order)
     count = 0
     for diag in _diagonals(r, index):
         c = max(j for j in range(r) if diag[j] > 1)
-        dc = diag[c]
         outer = [(i, j) for j in range(c) if diag[j] > 1 for i in range(j)]
         rows = [[0] * r for _ in range(r)]
         for i in range(r):
@@ -211,18 +359,8 @@ def count_left_ideals(order: IntegralOrder, index: int) -> int:
             for (i, j), v in zip(outer, fill):
                 rows[i][j] = v
             checks = _check_tables(mats, diag, rows, c)
-            if checks is None:
-                continue
-            for a in itertools.product(range(dc), repeat=c):
-                for i, table in checks:
-                    entry = table[a[i]] if i < c else table[0]
-                    if entry is None:
-                        break
-                    wc, qs = entry
-                    if sum(map(mul, qs, a), wc) % dc:
-                        break
-                else:
-                    count += 1
+            if checks is not None:
+                count += _count_inner(checks, c, diag[c])
     return count
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from math import log10
 from typing import Callable, NamedTuple
 
 from .catalog import (
@@ -43,8 +44,26 @@ class Construction:
     notes: list[str] = field(default_factory=list)
 
 
-# largest --N that `expand` and `compare` accept
+# largest --N that `expand` and `compare` accept, and the most steps one
+# `hey` request may take
 MAX_N = 10**7
+
+# most digits Python prints for an integer (its default int-to-str limit)
+MAX_DIGITS = 4300
+
+
+def _parse_int(text: str) -> int:
+    """An integer in ASCII digits, optionally after a minus sign.
+
+    Bare int() would also take other scripts' digits, underscores, a plus
+    sign and surrounding whitespace.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"an integer of {len(digits)} digits is too large")
+    return int(text)
 
 
 def _parse_field(text: str) -> FieldDescriptor:
@@ -56,44 +75,39 @@ def _parse_field(text: str) -> FieldDescriptor:
     raise ValueError(f"unknown field {text!r}; use Q or cyclo<prime>")
 
 
-def _rank2_over(params: list[str]) -> tuple[OrderCatalogEntry, ...]:
+def _rank2_over(params: list) -> tuple[OrderCatalogEntry, ...]:
     # the field comes first so the census sees O_F tensor K_n
-    n, coeff = int(params[0]), _parse_field(params[1])
+    n, coeff = params
     if n < 2:
         raise ValueError("scheme order must be >= 2")
     return maximal_order_catalog(coeff), complete_graph_catalog(n)
 
 
 class Recipe(NamedTuple):
-    """One named construction: its parameter count, the catalog entries
-    whose tensor product it is, notes for stderr and, where parameters are
-    normalised in the label, the label."""
+    """One named construction: the names of its parameters (`field` is a
+    number field, the others integers), the catalog entries whose tensor
+    product it is, built from the parsed parameters, notes for stderr and,
+    where parameters are normalised in the label, the label."""
 
-    params: int
-    entries: Callable[[list[str]], tuple[OrderCatalogEntry, ...]]
+    params: tuple[str, ...]
+    entries: Callable[[list], tuple[OrderCatalogEntry, ...]]
     notes: tuple[str, ...] = ()
-    label: Callable[[list[str]], str] | None = None
+    label: Callable[[list], str] | None = None
 
 
 CONSTRUCTIONS: dict[str, Recipe] = {
-    "cp": Recipe(1, lambda p: (cyclic_prime_catalog(int(p[0])),)),
-    "kn": Recipe(1, lambda p: (complete_graph_catalog(int(p[0])),)),
+    "cp": Recipe(("p",), lambda p: (cyclic_prime_catalog(p[0]),)),
+    "kn": Recipe(("n",), lambda p: (complete_graph_catalog(p[0]),)),
     "cp-x-kn": Recipe(
-        2,
-        lambda p: (
-            cyclic_prime_catalog(int(p[0])),
-            complete_graph_catalog(int(p[1])),
-        ),
+        ("p", "n"),
+        lambda p: (cyclic_prime_catalog(p[0]), complete_graph_catalog(p[1])),
     ),
     "km-x-kn": Recipe(
-        2,
-        lambda p: (
-            complete_graph_catalog(int(p[0])),
-            complete_graph_catalog(int(p[1])),
-        ),
+        ("m", "n"),
+        lambda p: (complete_graph_catalog(p[0]), complete_graph_catalog(p[1])),
     ),
     "zc6": Recipe(
-        0,
+        (),
         lambda p: (cyclic_prime_catalog(3), complete_graph_catalog(2)),
         notes=(
             "note: at p=2 the local factor carries the residue-degree-2 "
@@ -103,11 +117,20 @@ CONSTRUCTIONS: dict[str, Recipe] = {
         ),
     ),
     "rank2-over": Recipe(
-        2,
+        ("n", "field"),
         _rank2_over,
-        label=lambda p: f"rank2-over {int(p[0])} {_parse_field(p[1])}",
+        label=lambda p: f"rank2-over {p[0]} {p[1]}",
     ),
 }
+
+
+def _parse_param(construction: str, name: str, text: str):
+    if name == "field":
+        return _parse_field(text)
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise ValueError(f"{construction} parameter {name}: {exc}") from None
 
 
 def _build_construction(name: str, params: list[str]) -> Construction:
@@ -116,10 +139,13 @@ def _build_construction(name: str, params: list[str]) -> Construction:
         raise ValueError(
             f"unknown construction {name!r}; known: {', '.join(CONSTRUCTIONS)}"
         )
-    if len(params) != recipe.params:
-        raise ValueError(f"construction {name!r} takes {recipe.params} parameter(s)")
-    entries = recipe.entries(params)
-    label = recipe.label(params) if recipe.label else " ".join([name, *params])
+    if len(params) != len(recipe.params):
+        raise ValueError(
+            f"construction {name!r} takes {len(recipe.params)} parameter(s)"
+        )
+    values = [_parse_param(name, *pair) for pair in zip(recipe.params, params)]
+    entries = recipe.entries(values)
+    label = recipe.label(values) if recipe.label else " ".join([name, *params])
     if len(entries) == 1:
         (entry,) = entries
         zeta, order = global_zeta(entry), entry.order
@@ -130,13 +156,16 @@ def _build_construction(name: str, params: list[str]) -> Construction:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
-def _series_bound(text: str) -> int:
+def _capped_int(text: str) -> int:
     value = _positive_int(text)
     if value > MAX_N:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_N}")
@@ -257,7 +286,33 @@ def _cmd_product(args) -> int:
     return 0
 
 
+def _check_hey_size(r: int, m: int, k: int, p: int, f: int, terms: int) -> None:
+    """Refuse a Hey factor too large to build, expand or print.
+
+    The denominator prod_{j<k} (1 - q^{jm} u^s), with q = p^f and
+    s = f r m, has degree d = s k.  Building it takes about d k / 2 steps
+    and expanding it d steps per term.  Its coefficients are at most
+    2^k q^{m k(k-1)/2}, and the coefficient of u^{st} in the expansion is
+    at most C(t+k-1, k-1) q^{m(k-1)t}; q itself is computed too.
+    """
+    degree = f * r * m * k
+    if degree * max(k, terms) > MAX_N:
+        raise ValueError(
+            f"a Hey denominator of degree {degree} takes more than {MAX_N:,} "
+            f"steps to build and expand to u^{terms}"
+        )
+    t = terms // (f * r * m)
+    exponent = max(1, m * k * (k - 1) // 2, m * (k - 1) * t)
+    digits = f * log10(p) * exponent + k * log10(2) + (k - 1) * log10(t + 1)
+    if digits > MAX_DIGITS:
+        raise ValueError(
+            f"the Hey factor or its expansion to u^{terms} has coefficients "
+            f"of more than {MAX_DIGITS} digits"
+        )
+
+
 def _cmd_hey(args) -> int:
+    _check_hey_size(args.r, args.m, args.k, args.p, args.f, args.terms)
     component = HeyComponent(
         matrix_size=args.r,
         division_index=args.m,
@@ -287,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="coefficient table of a construction")
     p_expand.add_argument("construction", help=construction_help)
     p_expand.add_argument("params", nargs="*")
-    p_expand.add_argument("--N", type=_series_bound, default=20)
+    p_expand.add_argument("--N", type=_capped_int, default=20)
     add_io(p_expand)
     p_expand.set_defaults(func=_cmd_expand)
 
     p_compare = sub.add_parser("compare", help="formula vs brute-force census")
     p_compare.add_argument("construction", help=construction_help)
     p_compare.add_argument("params", nargs="*")
-    p_compare.add_argument("--N", type=_series_bound, default=12)
+    p_compare.add_argument("--N", type=_capped_int, default=12)
     p_compare.add_argument(
         "--prime-powers-only", action="store_true",
         help="census only prime-power indices, fill composites multiplicatively",
@@ -318,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hey.add_argument("r", type=_positive_int, help="matrix size")
     p_hey.add_argument("m", type=_positive_int, help="division algebra index")
     p_hey.add_argument("k", type=_positive_int, help="module multiplicity")
-    p_hey.add_argument("p", type=_positive_int, help="rational prime of the center")
+    p_hey.add_argument("p", type=_capped_int, help="rational prime of the center")
     p_hey.add_argument("e", type=_positive_int, help="ramification index of the center")
     p_hey.add_argument("f", type=_positive_int, help="residue degree of the center")
-    p_hey.add_argument("--terms", type=_positive_int, default=8)
+    p_hey.add_argument("--terms", type=_capped_int, default=8)
     p_hey.set_defaults(func=_cmd_hey)
 
     return parser

@@ -71,3 +71,14 @@ def test_workload_argv_parses(monkeypatch, tmp_path, workload, seed):
     out = str(tmp_path / "out")
     for request in requests:
         parser.parse_args([arg.replace("{out}", out) for arg in request["argv"]])
+
+
+def test_every_hey_request_of_the_pool_runs(monkeypatch, capsys):
+    # the size refusals of `hey` must leave every request the benchmark
+    # can draw answerable
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for params in workloads.HEY_POOL:
+        argv = ["hey", *map(str, params), "--terms", str(workloads.HEY_TERMS)]
+        assert cli.main(argv) == 0, params
+    capsys.readouterr()

@@ -1,9 +1,12 @@
 """The brute-force sublattice and ideal census."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderzeta.census import (
     HnfBasis,
+    _generator_tables,
     count_left_ideals,
     enumerate_sublattices,
     ideal_series,
@@ -215,7 +218,8 @@ def naive_left_ideal_count(order, index):
 DIFFERENTIAL_ORDERS = {
     "cp 3": (lambda: cyclic_prime_catalog(3).order, 27),
     "cp 5": (lambda: cyclic_prime_catalog(5).order, 8),
-    "kn 4": (lambda: complete_graph_catalog(4).order, 32),
+    # 24 and 36 put a composite pivot last, so solution classes of size > 1
+    "kn 4": (lambda: complete_graph_catalog(4).order, 36),
     "km-x-kn 2 3": (
         lambda: tensor_order(
             complete_graph_catalog(2).order, complete_graph_catalog(3).order
@@ -226,7 +230,7 @@ DIFFERENTIAL_ORDERS = {
         lambda: tensor_order(
             cyclic_prime_catalog(3).order, complete_graph_catalog(2).order
         ),
-        5,
+        6,
     ),
     "rank2-over 2 cyclo3": (
         lambda: tensor_order(
@@ -251,3 +255,48 @@ def test_upper_triangular_counts_pinned():
     # a transposed multiplication matrix or a dropped outer slot moves these
     counts = [count_left_ideals(upper_triangular(), n) for n in range(1, 17)]
     assert counts == [1, 2, 2, 5, 2, 4, 2, 8, 6, 4, 2, 10, 2, 4, 4, 15]
+
+
+def km_x_kn_2_3():
+    return tensor_order(complete_graph_catalog(2).order, complete_graph_catalog(3).order)
+
+
+RELABELLED = {
+    "cp 3": (lambda: cyclic_prime_catalog(3).order, 12),
+    "kn 4": (lambda: complete_graph_catalog(4).order, 16),
+    "km-x-kn 2 3": (km_x_kn_2_3, 8),
+    "upper triangular": (upper_triangular, 12),
+}
+
+
+@given(st.sampled_from(sorted(RELABELLED)), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_count_left_ideals_ignores_basis_order(name, rng):
+    # b'_i = b_sigma(i): the same ring, so the same ideals, reached through
+    # other HNF parametrizations and possibly other generators
+    make, bound = RELABELLED[name]
+    order = make()
+    sigma = list(range(order.rank))
+    rng.shuffle(sigma)
+    table = tuple(
+        tuple(tuple(order.table[a][b][c] for c in sigma) for b in sigma) for a in sigma
+    )
+    relabelled = IntegralOrder(order.rank, table, tuple(order.identity[c] for c in sigma))
+    for n in range(1, bound + 1):
+        assert count_left_ideals(relabelled, n) == count_left_ideals(order, n), n
+
+
+@pytest.mark.parametrize(
+    "order, count",
+    [
+        (cyclic_prime_catalog(5).order, 1),
+        (tensor_order(cyclic_prime_catalog(3).order, complete_graph_catalog(2).order), 1),
+        (km_x_kn_2_3(), 2),
+        (upper_triangular(), 2),
+        (IntegralOrder(1, (((1,),),), (1,)), 0),
+    ],
+)
+def test_generator_counts(order, count):
+    # Z C_5 and Z C_6 are generated by one group element; K2 x K3 needs
+    # both factors' generators, since (xy)^2 = y + 2 spans only index 2
+    assert len(_generator_tables(order)) == count

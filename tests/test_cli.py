@@ -125,6 +125,42 @@ def test_n_above_cap_is_refused(capsys, command):
     assert f"must be at most {MAX_N}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["expand", "cp", "\u0663"], "cp parameter p"),
+        (["expand", "cp", "0_3"], "cp parameter p"),
+        (["expand", "cp", " 3"], "cp parameter p"),
+        (["expand", "cp", "+3"], "cp parameter p"),
+        (["expand", "cp", "abc"], "cp parameter p"),
+        (["compare", "km-x-kn", "2", "\u0663"], "km-x-kn parameter n"),
+        (["expand", "rank2-over", "1_0", "Q"], "rank2-over parameter n"),
+        (["expand", "cp", "3", "--N", "\u0663"], "argument --N"),
+        (["expand", "cp", "3", "--N", "1_0"], "argument --N"),
+        (["hey", "1", "1", "1", "\u0662", "1", "1"], "argument p"),
+        (["hey", "1", "1", "1", "2", "1", "1", "--terms", "1_2"], "argument --terms"),
+    ],
+)
+def test_integers_must_be_ascii_digits(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert names in err and "is not an integer in ASCII digits" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["expand", "cp", "1" * 5000], "cp parameter p"),
+        (["expand", "cp", "3", "--N", "1" * 5000], "argument --N"),
+    ],
+)
+def test_integers_of_more_digits_than_python_prints_are_refused(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{names}: an integer of 5000 digits is too large" in err
+
+
 @pytest.mark.parametrize("command", ["expand", "compare"])
 def test_n_at_cap_parses(command):
     # parsed only: a run at this bound would take minutes
@@ -360,6 +396,34 @@ def test_hey_rank_two_lattice(capsys):
     code, out, _ = run(capsys, "hey", "1", "1", "2", "2", "1", "1", "--terms", "3")
     assert code == 0
     assert "[1, 3, 7, 15]" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["1", "1", "250", "2", "1", "1"], "more than 4300 digits"),
+        (["1", "1", "1000", "2", "1", "1"], "more than 4300 digits"),
+        (["1", "1", "2", "2", "1", "1", "--terms", "20000"], "more than 4300 digits"),
+        (["1", "1", "1", "2", "1", "20000"], "more than 4300 digits"),
+        (["10000", "1", "1", "2", "1", "1", "--terms", "10000"], "steps"),
+        (["1", "1", "1", "2", "1", "1", "--terms", str(MAX_N + 1)], f"at most {MAX_N}"),
+        (["1", "1", "1", "10000019", "1", "1"], f"at most {MAX_N}"),
+    ],
+)
+def test_hey_refuses_oversized_before_computing(capsys, monkeypatch, argv, message):
+    def never(component):
+        raise AssertionError("the factor was built")
+
+    monkeypatch.setattr("orderzeta.cli.hey_local_factor", never)
+    code, out, err = run(capsys, "hey", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_hey_largest_accepted_factor_prints(capsys):
+    # 2^(159*160/2) is the top denominator coefficient: 3830 digits
+    code, out, _ = run(capsys, "hey", "1", "1", "160", "2", "1", "1")
+    assert code == 0 and str(2 ** (159 * 160 // 2)) in out
 
 
 def test_usage_error_exits_two(capsys):
