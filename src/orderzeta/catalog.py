@@ -1,9 +1,10 @@
 """Global zeta functions assembled from Dedekind components and exceptional
 local factors.
 
-A catalog entry bundles a concrete order with its Wedderburn components,
-its bad-prime set and a local rule giving the closed-form factor of the
-order over any supported p-adic coefficient ring.  A GlobalZeta is the
+A catalog entry bundles the Wedderburn components of an order, its
+bad-prime set in closed form and a local rule giving the closed-form
+factor of the order over any supported p-adic coefficient ring; only
+the census reads the order itself.  A GlobalZeta is the
 expandable result: Dedekind components with multiplicities plus a finite
 map of exceptional factors that fully replace the Dedekind local factors
 at the bad primes.
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
-from .arith import is_prime, primes_upto
+from .arith import factorize, is_prime, primes_upto
 from .localfactors import (
     PadicRing,
     cyclic_prime_local_factor,
@@ -34,13 +36,8 @@ from .numfields import (
     dedekind_local_factor,
     splitting,
 )
-from .orders import (
-    IntegralOrder,
-    bad_primes,
-    order_from_scheme,
-    ring_of_integers_order,
-)
-from .schemes import complete_graph_scheme, cyclic_group_scheme
+from .orders import IntegralOrder, order_from_scheme, ring_of_integers_order
+from .schemes import complete_graph_table, cyclic_group_scheme
 from .series import DirichletCoefficients, LocalFactor, euler_expand
 
 
@@ -57,19 +54,20 @@ class UnsupportedCoefficientRingError(ValueError):
     """A local rule was asked for a coefficient ring it has no closed form for."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class OrderCatalogEntry:
-    """A named order with everything needed for global zeta assembly."""
+    """A named order with everything needed for global zeta assembly; the
+    order itself is built only when read."""
 
     name: str
     wedderburn: tuple[FieldDescriptor, ...]
     bad_primes: frozenset[int]
     local_rule: Callable[[PadicRing], LocalFactor]
-    order: IntegralOrder
+    build_order: Callable[[], IntegralOrder]
 
-    def __post_init__(self):
-        if sum(f.degree for f in self.wedderburn) != self.order.rank:
-            raise ValueError("component degrees do not sum to the order rank")
+    @cached_property
+    def order(self) -> IntegralOrder:
+        return self.build_order()
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -111,16 +109,16 @@ def maximal_order_catalog(field: FieldDescriptor) -> OrderCatalogEntry:
         wedderburn=(field,),
         bad_primes=frozenset(),
         local_rule=rule,
-        order=ring_of_integers_order(field),
+        build_order=lambda: ring_of_integers_order(field),
     )
 
 
 def complete_graph_catalog(n: int) -> OrderCatalogEntry:
     """Rank-2 scheme ring of order n: components Q + Q, bad primes the prime
-    divisors of n, local rule the rank-2 closed form over any p-adic ring."""
+    divisors of n (its discriminant is n^2), local rule the rank-2 closed
+    form over any p-adic ring."""
     if n < 2:
         raise ValueError("complete graph scheme needs n >= 2")
-    order = order_from_scheme(complete_graph_scheme(n))
 
     def rule(ring: PadicRing) -> LocalFactor:
         return rank2_scheme_local_factor(ring, n)
@@ -128,25 +126,25 @@ def complete_graph_catalog(n: int) -> OrderCatalogEntry:
     return OrderCatalogEntry(
         name=f"K{n}",
         wedderburn=(RATIONAL, RATIONAL),
-        bad_primes=bad_primes(order),
+        bad_primes=frozenset(factorize(n)),
         local_rule=rule,
-        order=order,
+        build_order=lambda: IntegralOrder(2, complete_graph_table(n), (1, 0)),
     )
 
 
 def cyclic_prime_catalog(p: int) -> OrderCatalogEntry:
     """Group ring of the cyclic group of prime order p.
 
-    Components Q + Q(e_p), single bad prime p.  The local rule only knows
-    the unramified degree-1 coefficient ring Z_p; no closed form is
-    implemented over larger extensions, and asking for one raises.
+    Components Q + Q(e_p), single bad prime p (its discriminant is
+    +-p^p).  The local rule only knows the unramified degree-1
+    coefficient ring Z_p; no closed form is implemented over larger
+    extensions, and asking for one raises.
     p = 2 coincides with the rank-2 scheme of order 2.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         return complete_graph_catalog(2)
-    order = order_from_scheme(cyclic_group_scheme(p))
 
     def rule(ring: PadicRing) -> LocalFactor:
         if ring.prime != p:
@@ -163,9 +161,9 @@ def cyclic_prime_catalog(p: int) -> OrderCatalogEntry:
     return OrderCatalogEntry(
         name=f"C{p}",
         wedderburn=(RATIONAL, cyclotomic(p)),
-        bad_primes=bad_primes(order),
+        bad_primes=frozenset({p}),
         local_rule=rule,
-        order=order,
+        build_order=lambda: order_from_scheme(cyclic_group_scheme(p)),
     )
 
 

@@ -35,7 +35,6 @@ from math import gcd, prod
 from operator import mul
 
 from .arith import divisors, factorize
-from .localfactors import HeyComponent, PadicRing, hey_local_factor
 from .orders import IntegralOrder
 from .series import DirichletCoefficients, multiplicative_series
 
@@ -364,25 +363,36 @@ def count_left_ideals(order: IntegralOrder, index: int) -> int:
     return count
 
 
-def _check_budget(rank: int, bound: int, prime_powers_only: bool) -> None:
+def _sublattice_count(rank: int, p: int, k: int) -> int:
+    """Sublattices of Z^rank of index p^k, capped just above CENSUS_BUDGET.
+
+    The count is the u^k coefficient of prod_{j<rank} (1 - p^j u)^-1, the
+    Hey factor of Z_p^rank.  Every term is nonnegative, so capping each
+    partial sum keeps the integers small and changes no count under the
+    cap.
+    """
+    cap = CENSUS_BUDGET + 1
+    coeffs = [1] + [0] * k
+    x = 1
+    for _ in range(rank):
+        for i in range(1, k + 1):
+            coeffs[i] = min(cap, coeffs[i] + x * coeffs[i - 1])
+        x = min(cap, x * p)
+    return coeffs[k]
+
+
+def check_budget(rank: int, bound: int, prime_powers_only: bool) -> None:
     """Refuse a census over more than CENSUS_BUDGET sublattices of Z^rank.
 
-    Z^rank has as many sublattices of index p^k as the u^k coefficient of
-    the Hey factor of Z_p^rank, and the count is multiplicative in the
-    index, so the total is known before anything is enumerated.
+    The number of sublattices is multiplicative in the index, so the
+    total is known before anything is enumerated.
     """
-    hey = {}
     total = 0
     for n in range(2, bound + 1):
         parts = factorize(n)
         if prime_powers_only and len(parts) > 1:
             continue
-        count = 1
-        for p, k in parts.items():
-            if p not in hey:
-                hey[p] = hey_local_factor(HeyComponent(1, 1, rank, PadicRing(p)))
-            count *= hey[p].expand(k)[k]
-        total += count
+        total += prod(_sublattice_count(rank, p, k) for p, k in parts.items())
         if total > CENSUS_BUDGET:
             raise ValueError(
                 f"a census up to index {bound} enumerates more than "
@@ -403,7 +413,7 @@ def ideal_series(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    _check_budget(order.rank, bound, prime_powers_only)
+    check_budget(order.rank, bound, prime_powers_only)
     if prime_powers_only:
 
         def local(p: int, k: int) -> list[int]:

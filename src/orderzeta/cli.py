@@ -12,41 +12,40 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from math import log10
 from typing import Callable, NamedTuple
 
 from .catalog import (
     CompositumError,
-    GlobalZeta,
     NotLocallyCoprimeError,
     OrderCatalogEntry,
     UnsupportedCoefficientRingError,
     complete_graph_catalog,
     cyclic_prime_catalog,
     expand_global,
-    global_zeta,
     maximal_order_catalog,
     tensor_global_zeta,
 )
-from .census import ideal_series
+from .census import check_budget, ideal_series
 from .localfactors import HeyComponent, PadicRing, hey_local_factor
 from .numfields import RATIONAL, FieldDescriptor, cyclotomic
-from .orders import IntegralOrder, tensor_order
+from .orders import tensor_order
 from .schemes import SchemeError, direct_product, load_scheme, save_scheme
 
 
-@dataclass
-class Construction:
+class Construction(NamedTuple):
     label: str
-    zeta: GlobalZeta
-    order: IntegralOrder
-    notes: list[str] = field(default_factory=list)
+    entries: tuple[OrderCatalogEntry, OrderCatalogEntry]
+    notes: tuple[str, ...]
 
 
-# largest --N that `expand` and `compare` accept, and the most steps one
-# `hey` request may take
+# largest --N that `expand` and `compare` accept, the largest integer
+# parameter of a construction, and the most steps one `hey` request may take
 MAX_N = 10**7
+
+# largest prime of Z C_p or Q(e_p): their components have degree p - 1,
+# and local factors of that degree take time polynomial in p to build
+MAX_PRIME = 1000
 
 # most digits Python prints for an integer (its default int-to-str limit)
 MAX_DIGITS = 4300
@@ -66,13 +65,22 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-def _parse_field(text: str) -> FieldDescriptor:
+def _parse_field(construction: str, text: str) -> FieldDescriptor:
     if text.upper() == "Q":
         return RATIONAL
     prefix, digits = text[:5], text[5:]
     if prefix.lower() == "cyclo" and digits.isascii() and digits.isdigit():
+        if len(digits) > MAX_DIGITS or int(digits) > MAX_PRIME:
+            raise ValueError(
+                f"{construction} parameter field: the prime of {text!r} "
+                f"must be at most {MAX_PRIME}"
+            )
         return cyclotomic(int(digits))
     raise ValueError(f"unknown field {text!r}; use Q or cyclo<prime>")
+
+
+def _over_z(entry: OrderCatalogEntry) -> tuple[OrderCatalogEntry, ...]:
+    return entry, maximal_order_catalog(RATIONAL)
 
 
 def _rank2_over(params: list) -> tuple[OrderCatalogEntry, ...]:
@@ -85,9 +93,10 @@ def _rank2_over(params: list) -> tuple[OrderCatalogEntry, ...]:
 
 class Recipe(NamedTuple):
     """One named construction: the names of its parameters (`field` is a
-    number field, the others integers), the catalog entries whose tensor
-    product it is, built from the parsed parameters, notes for stderr and,
-    where parameters are normalised in the label, the label."""
+    number field, `p` a prime at most MAX_PRIME, the others integers at
+    most MAX_N), the two catalog entries whose tensor product it is, built
+    from the parsed parameters, notes for stderr and, where parameters are
+    normalised in the label, the label."""
 
     params: tuple[str, ...]
     entries: Callable[[list], tuple[OrderCatalogEntry, ...]]
@@ -96,8 +105,8 @@ class Recipe(NamedTuple):
 
 
 CONSTRUCTIONS: dict[str, Recipe] = {
-    "cp": Recipe(("p",), lambda p: (cyclic_prime_catalog(p[0]),)),
-    "kn": Recipe(("n",), lambda p: (complete_graph_catalog(p[0]),)),
+    "cp": Recipe(("p",), lambda p: _over_z(cyclic_prime_catalog(p[0]))),
+    "kn": Recipe(("n",), lambda p: _over_z(complete_graph_catalog(p[0]))),
     "cp-x-kn": Recipe(
         ("p", "n"),
         lambda p: (cyclic_prime_catalog(p[0]), complete_graph_catalog(p[1])),
@@ -126,11 +135,15 @@ CONSTRUCTIONS: dict[str, Recipe] = {
 
 def _parse_param(construction: str, name: str, text: str):
     if name == "field":
-        return _parse_field(text)
+        return _parse_field(construction, text)
+    limit = MAX_PRIME if name == "p" else MAX_N
     try:
-        return _parse_int(text)
+        value = _parse_int(text)
+        if value > limit:
+            raise ValueError(f"must be at most {limit}")
     except ValueError as exc:
         raise ValueError(f"{construction} parameter {name}: {exc}") from None
+    return value
 
 
 def _build_construction(name: str, params: list[str]) -> Construction:
@@ -144,15 +157,8 @@ def _build_construction(name: str, params: list[str]) -> Construction:
             f"construction {name!r} takes {len(recipe.params)} parameter(s)"
         )
     values = [_parse_param(name, *pair) for pair in zip(recipe.params, params)]
-    entries = recipe.entries(values)
     label = recipe.label(values) if recipe.label else " ".join([name, *params])
-    if len(entries) == 1:
-        (entry,) = entries
-        zeta, order = global_zeta(entry), entry.order
-    else:
-        a, b = entries
-        zeta, order = tensor_global_zeta(a, b), tensor_order(a.order, b.order)
-    return Construction(label, zeta, order, list(recipe.notes))
+    return Construction(label, recipe.entries(values), recipe.notes)
 
 
 def _positive_int(text: str) -> int:
@@ -218,7 +224,7 @@ def _format_compare(
 
 def _cmd_expand(args) -> int:
     con = _build_construction(args.construction, args.params)
-    series = expand_global(con.zeta, args.N)
+    series = expand_global(tensor_global_zeta(*con.entries), args.N)
     for note in con.notes:
         print(note, file=sys.stderr)
     _emit(_format_expand(con.label, args.N, series.values, args.format), args.out)
@@ -227,11 +233,14 @@ def _cmd_expand(args) -> int:
 
 def _cmd_compare(args) -> int:
     con = _build_construction(args.construction, args.params)
-    # the census refuses an over-budget request before any work is done
+    zeta = tensor_global_zeta(*con.entries)
+    # refuse an over-budget census before the order is built
+    check_budget(zeta.degree, args.N, args.prime_powers_only)
+    order = tensor_order(*(entry.order for entry in con.entries))
     oracle = ideal_series(
-        con.order, args.N, prime_powers_only=args.prime_powers_only
+        order, args.N, prime_powers_only=args.prime_powers_only
     ).values
-    formula = expand_global(con.zeta, args.N).values
+    formula = expand_global(zeta, args.N).values
     mismatches = [n for n in range(1, args.N + 1) if formula[n - 1] != oracle[n - 1]]
     for note in con.notes:
         print(note, file=sys.stderr)

@@ -177,19 +177,22 @@ def validate(matrices) -> AssociationScheme:
     )
 
 
-def complete_graph_scheme(n: int) -> AssociationScheme:
-    """Rank-2 scheme of the complete graph on n >= 2 points: {I, J - I}.
-
-    The nonidentity relation satisfies sigma_1^2 = (n-1) sigma_0 + (n-2) sigma_1.
-    """
+def complete_graph_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Structure constants of the complete graph scheme on n points, known
+    without its n x n matrices: sigma_1^2 = (n-1) sigma_0 + (n-2) sigma_1."""
     if n < 2:
         raise ValueError("complete graph scheme needs n >= 2")
+    return (
+        ((1, 0), (0, 1)),
+        ((0, 1), (n - 1, n - 2)),
+    )
+
+
+def complete_graph_scheme(n: int) -> AssociationScheme:
+    """Rank-2 scheme of the complete graph on n >= 2 points: {I, J - I}."""
+    constants = complete_graph_table(n)
     ident = _identity(n)
     other = tuple(tuple(1 - x for x in row) for row in ident)
-    constants = (
-        (((1, 0), (0, 1))),
-        (((0, 1), (n - 1, n - 2))),
-    )
     return AssociationScheme(
         size=n,
         relations=(ident, other),

@@ -22,8 +22,9 @@ from orderzeta.localfactors import (
     rank2_local_factor,
     rank2_scheme_local_factor,
 )
-from orderzeta.numfields import RATIONAL, cyclotomic, dedekind_local_factor
-from orderzeta.orders import ring_of_integers_order, tensor_order
+from orderzeta.numfields import RATIONAL, cyclotomic, dedekind_local_factor, splitting
+from orderzeta.arith import primes_upto
+from orderzeta.orders import bad_primes, ring_of_integers_order, tensor_order
 from orderzeta.series import LocalFactor
 
 
@@ -70,6 +71,44 @@ def test_cyclic_rule_refuses_extensions():
     with pytest.raises(UnsupportedCoefficientRingError):
         entry.local_rule(PadicRing(3, 2, 1))
     assert entry.local_rule(PadicRing(3)) == cyclic_prime_local_factor(3)
+
+
+def test_declared_bad_primes_and_ranks_match_the_orders():
+    # the closed-form bad primes of K_n and Z C_p are the primes dividing
+    # the discriminant, and the component degrees sum to the rank
+    entries = [complete_graph_catalog(n) for n in range(2, 61)]
+    entries += [cyclic_prime_catalog(p) for p in primes_upto(31)]
+    for entry in entries:
+        assert entry.bad_primes == bad_primes(entry.order), entry.name
+        assert sum(f.degree for f in entry.wedderburn) == entry.order.rank, entry.name
+
+
+@pytest.mark.parametrize("field", [RATIONAL, *map(cyclotomic, (3, 5, 7, 11))])
+def test_maximal_order_is_bad_nowhere_though_its_discriminant_ramifies(field):
+    # the discriminant of O_F is divisible exactly by the ramified primes,
+    # where O_F is still maximal, so the declared set is empty
+    entry = maximal_order_catalog(field)
+    ramified = {
+        p for p in primes_upto(13) if any(e > 1 for e, _f in splitting(field, p))
+    }
+    assert entry.bad_primes == frozenset()
+    assert bad_primes(entry.order) == ramified
+    assert field.degree == entry.order.rank
+
+
+def test_entry_builds_its_order_once_and_only_when_read():
+    built = []
+    entry = complete_graph_catalog(4)
+    entry = type(entry)(
+        entry.name,
+        entry.wedderburn,
+        entry.bad_primes,
+        entry.local_rule,
+        lambda: built.append(1) or complete_graph_catalog(4).build_order(),
+    )
+    global_zeta(entry)
+    assert built == []
+    assert entry.order is entry.order and built == [1]
 
 
 def test_rule_agrees_with_census_at_unit_ring():

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderzeta.census import (
+    CENSUS_BUDGET,
     HnfBasis,
     _generator_tables,
+    _sublattice_count,
+    check_budget,
     count_left_ideals,
     enumerate_sublattices,
     ideal_series,
@@ -90,6 +93,21 @@ def test_enumerate_matches_hey_factor():
                 sum(1 for _ in enumerate_sublattices(r, p**k)) for k in range(4)
             ]
             assert counts == coeffs
+
+
+def test_budget_count_is_the_hey_coefficient_capped():
+    for r in range(1, 8):
+        for p in (2, 3, 5):
+            coeffs = hey_local_factor(HeyComponent(1, 1, r, PadicRing(p))).expand(10)
+            capped = [min(c, CENSUS_BUDGET + 1) for c in coeffs]
+            assert [_sublattice_count(r, p, k) for k in range(11)] == capped
+
+
+def test_budget_check_refuses_a_large_rank_at_once():
+    # Z^1994 has 2^1994 - 1 sublattices of index 2
+    with pytest.raises(ValueError, match="sublattices of Z\\^1994"):
+        check_budget(1994, 2, prime_powers_only=False)
+    check_budget(23, 2, prime_powers_only=False)  # 2^23 - 1 fits
 
 
 # ------------------------------------------------------------------ ideals

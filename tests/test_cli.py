@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import time
+import tracemalloc
 
 import pytest
 
-from orderzeta.cli import CONSTRUCTIONS, MAX_N, build_parser, main
+from orderzeta.cli import CONSTRUCTIONS, MAX_N, MAX_PRIME, build_parser, main
 from orderzeta.schemes import (
     complete_graph_scheme,
     cyclic_group_scheme,
@@ -221,21 +223,21 @@ def test_compare_json_reports_match(capsys):
 
 
 def test_compare_mismatch_exits_one(capsys, monkeypatch):
-    # doctor the construction table so the formula is wrong at n = 4
+    # doctor the local rule of K_2 so the formula is wrong at n = 2
+    import dataclasses
+
     import orderzeta.cli as cli_mod
-    from orderzeta.catalog import GlobalZeta, global_zeta, complete_graph_catalog
+    from orderzeta.catalog import complete_graph_catalog
     from orderzeta.series import LocalFactor
 
-    entry = complete_graph_catalog(3)
-    honest = global_zeta(entry)
-    doctored = GlobalZeta(honest.components, dict(honest.exceptional))
-    doctored.exceptional[2] = LocalFactor.one(2)
+    def doctored(n):
+        entry = complete_graph_catalog(n)
+        return dataclasses.replace(
+            entry, local_rule=lambda ring: LocalFactor.one(ring.prime)
+        )
 
-    def fake_build(name, params):
-        return cli_mod.Construction("doctored", doctored, entry.order)
-
-    monkeypatch.setattr(cli_mod, "_build_construction", fake_build)
-    code, out, err = run(capsys, "compare", "doctored", "--N", "6")
+    monkeypatch.setattr(cli_mod, "complete_graph_catalog", doctored)
+    code, out, err = run(capsys, "compare", "kn", "2", "--N", "6")
     assert code == 1
     assert "first divergence at n = 2" in err
     rows = parse_csv(out)
@@ -275,6 +277,111 @@ def test_compare_refuses_before_expanding_the_formula(capsys, monkeypatch):
     code, out, err = run(capsys, "compare", "kn", "3", "--N", "100000")
     assert code == 2 and "sublattices" in err
     assert out == ""
+
+
+def count_order_builds(monkeypatch) -> list:
+    from orderzeta.orders import IntegralOrder
+
+    built = []
+    check = IntegralOrder.__post_init__
+
+    def counting(self):
+        built.append(self.rank)
+        check(self)
+
+    monkeypatch.setattr(IntegralOrder, "__post_init__", counting)
+    return built
+
+
+SAMPLE_PARAMS = {
+    "cp": ["5"],
+    "kn": ["6"],
+    "cp-x-kn": ["5", "3"],
+    "km-x-kn": ["2", "3"],
+    "zc6": [],
+    "rank2-over": ["4", "cyclo7"],
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_PARAMS)
+def test_expand_builds_no_order(capsys, monkeypatch, name):
+    assert set(SAMPLE_PARAMS) == set(CONSTRUCTIONS)
+    built = count_order_builds(monkeypatch)
+    code, _, _ = run(capsys, "expand", name, *SAMPLE_PARAMS[name], "--N", "30")
+    assert code == 0 and built == []
+
+
+def test_compare_checks_the_budget_before_building_an_order(capsys, monkeypatch):
+    built = count_order_builds(monkeypatch)
+    code, out, err = run(capsys, "compare", "cp", "101", "--N", "2")
+    assert code == 2 and out == "" and "sublattices of Z^101" in err
+    assert built == []
+
+
+def test_compare_builds_the_tensor_order_it_censuses(capsys, monkeypatch):
+    built = count_order_builds(monkeypatch)
+    code, _, _ = run(capsys, "compare", "cp", "3", "--N", "4")
+    assert code == 0 and built[-1] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cp", "1009"], f"cp parameter p: must be at most {MAX_PRIME}"),
+        (["cp", "1000000000000000000000007"], "cp parameter p: must be at most"),
+        (["cp-x-kn", "9999991", "2"], "cp-x-kn parameter p: must be at most"),
+        (
+            ["rank2-over", "2", "cyclo1000000000000000000000007"],
+            "rank2-over parameter field: the prime of "
+            f"'cyclo1000000000000000000000007' must be at most {MAX_PRIME}",
+        ),
+        (["rank2-over", "2", "cyclo" + "1" * 5000], "rank2-over parameter field"),
+        (["rank2-over", str(MAX_N + 1), "Q"], f"rank2-over parameter n: must be at most {MAX_N}"),
+        (["kn", "99999999999999999999999"], "kn parameter n: must be at most"),
+        (["km-x-kn", "2", str(MAX_N + 1)], "km-x-kn parameter n: must be at most"),
+    ],
+)
+@pytest.mark.parametrize("command", ["expand", "compare"])
+def test_oversized_parameters_are_refused_before_building(
+    capsys, monkeypatch, command, argv, message
+):
+    import orderzeta.cli as cli_mod
+
+    def no_build(*args):
+        raise AssertionError("built a catalog entry for a refused parameter")
+
+    monkeypatch.setattr(cli_mod, "cyclic_prime_catalog", no_build)
+    monkeypatch.setattr(cli_mod, "complete_graph_catalog", no_build)
+    monkeypatch.setattr(cli_mod, "maximal_order_catalog", no_build)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *argv, "--N", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and message in err
+
+
+def test_largest_parameters_are_accepted(capsys):
+    code, out, _ = run(capsys, "expand", "cp", "997", "--N", "4")
+    assert code == 0 and parse_csv(out)[-1] == ["4", "1"]
+    code, out, _ = run(capsys, "expand", "rank2-over", "2", "cyclo997", "--N", "2")
+    assert code == 0 and parse_csv(out)[-1] == ["2", "0"]
+    code, out, _ = run(capsys, "expand", "kn", str(MAX_N), "--N", "2")
+    assert code == 0 and parse_csv(out)[-1] == ["2", "1"]
+
+
+def test_compare_kn_census_does_not_grow_with_n(capsys):
+    # K_n's order comes from its 2 x 2 structure constants, never from
+    # its n x n relation matrices
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, _ = run(capsys, "compare", "kn", "9999991", "--N", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 10**7
+    assert code == 0
+    assert [r[3] for r in parse_csv(out)[1:]] == ["true"] * 4
 
 
 # ------------------------------------------------------------------ validate
