@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .arith import factorize, is_prime, primes_upto
+from .arith import factorize, is_prime
 from .localfactors import (
     PadicRing,
     cyclic_prime_local_factor,
@@ -231,6 +231,6 @@ def rank2_over_field(n: int, coeff_field: FieldDescriptor) -> GlobalZeta:
 
 
 def expand_global(zeta: GlobalZeta, bound: int) -> DirichletCoefficients:
-    """Dirichlet coefficients a_1..a_bound of a global zeta function."""
-    factors = {p: zeta.local_factor(p) for p in primes_upto(bound)}
-    return euler_expand(factors, bound)
+    """Dirichlet coefficients a_1..a_bound of a global zeta function; each
+    local factor is built when it is read and dropped after."""
+    return euler_expand(zeta.local_factor, bound)

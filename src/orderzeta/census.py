@@ -41,6 +41,12 @@ from .series import DirichletCoefficients, multiplicative_series
 # most sublattices one `ideal_series` call may enumerate
 CENSUS_BUDGET = 10**7
 
+# cache sizes: each entry holds its order, so a long-lived process keeps
+# at most this many (order, index) counts and generator sets; a session of
+# a hundred requests makes well under a thousand distinct census calls
+COUNT_CACHE_SIZE = 1024
+GENERATOR_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True, slots=True)
 class HnfBasis:
@@ -176,7 +182,7 @@ def _subring_span(identity, tables, r: int):
         span = grown
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _generator_tables(order: IntegralOrder):
     """Left-multiplication tables of a small set of basis elements that
     generate the order as a ring.
@@ -327,7 +333,7 @@ def _count_inner(checks, c: int, dc: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COUNT_CACHE_SIZE)
 def count_left_ideals(order: IntegralOrder, index: int) -> int:
     """Number of index-`index` sublattices of the order closed under left
     multiplication by every basis element.

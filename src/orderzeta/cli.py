@@ -10,8 +10,10 @@ mismatch or failed validation, 2 usage or precondition errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from contextlib import nullcontext
 from math import log10
 from typing import Callable, NamedTuple
 
@@ -178,56 +180,65 @@ def _capped_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+# rows formatted per write, which bounds the output text held at once
+CHUNK_ROWS = 4096
+
+
+def _write_table(args, head: dict, key: str, header: str, rows, tail: dict) -> None:
+    """Write a table to `args.out`, or to stdout, while its rows are made.
+
+    `rows` is a nonempty iterable of tuples with one entry per column of
+    the CSV `header`: integers or preformatted tokens such as `true`.  The
+    JSON text is exactly `json.dumps(doc, indent=1)` plus a newline, with
+    doc = {**head, key: [list(row) for row in rows], **tail}; only the
+    scalar head and tail fields go through `json.dumps`.  Every value is
+    computed before the call, so a refusal leaves no file behind.
+    """
+
+    def field(k, v) -> str:
+        return f" {json.dumps(k)}: {json.dumps(v)}"
+
+    cells = ["{}"] * len(header.split(","))
+    if args.format == "json":
+        opening = "{\n" + "".join(f"{field(k, v)},\n" for k, v in head.items())
+        opening += f" {json.dumps(key)}: [\n"
+        closing = "\n ]" + "".join(f",\n{field(k, v)}" for k, v in tail.items())
+        closing += "\n}\n"
+        row_text = "  [\n   " + ",\n   ".join(cells) + "\n  ]"
+        separator = ",\n"
     else:
-        sys.stdout.write(text)
-
-
-def _format_expand(label: str, bound: int, values, fmt: str) -> str:
-    if fmt == "json":
-        doc = {
-            "command": "expand",
-            "construction": label,
-            "bound": bound,
-            "coefficients": [[n, values[n - 1]] for n in range(1, bound + 1)],
-        }
-        return json.dumps(doc, indent=1) + "\n"
-    lines = ["n,a_n"]
-    lines += [f"{n},{values[n - 1]}" for n in range(1, bound + 1)]
-    return "\n".join(lines) + "\n"
-
-
-def _format_compare(
-    label: str, bound: int, formula, oracle, mismatches: list[int], fmt: str
-) -> str:
-    rows = [
-        [n, formula[n - 1], oracle[n - 1], formula[n - 1] == oracle[n - 1]]
-        for n in range(1, bound + 1)
-    ]
-    if fmt == "json":
-        doc = {
-            "command": "compare",
-            "construction": label,
-            "bound": bound,
-            "rows": rows,
-            "all_match": not mismatches,
-            "first_mismatch": mismatches[0] if mismatches else None,
-        }
-        return json.dumps(doc, indent=1) + "\n"
-    lines = ["n,a_n,oracle_a_n,match"]
-    lines += [f"{n},{a},{o},{str(m).lower()}" for n, a, o, m in rows]
-    return "\n".join(lines) + "\n"
+        opening, closing = header + "\n", ""
+        row_text, separator = ",".join(cells) + "\n", ""
+    rows = iter(rows)
+    if args.out:
+        sink = open(args.out, "w", encoding="utf-8")
+    else:
+        sink = nullcontext(sys.stdout)
+    with sink as fh:
+        fh.write(opening)
+        lead = ""
+        # every row formats to a nonempty text, so only the end gives ""
+        while text := separator.join(
+            itertools.starmap(row_text.format, itertools.islice(rows, CHUNK_ROWS))
+        ):
+            fh.write(lead + text)
+            lead = separator
+        fh.write(closing)
 
 
 def _cmd_expand(args) -> int:
     con = _build_construction(args.construction, args.params)
-    series = expand_global(tensor_global_zeta(*con.entries), args.N)
+    values = expand_global(tensor_global_zeta(*con.entries), args.N).values
     for note in con.notes:
         print(note, file=sys.stderr)
-    _emit(_format_expand(con.label, args.N, series.values, args.format), args.out)
+    _write_table(
+        args,
+        {"command": "expand", "construction": con.label, "bound": args.N},
+        "coefficients",
+        "n,a_n",
+        zip(range(1, args.N + 1), values),
+        {},
+    )
     return 0
 
 
@@ -241,15 +252,24 @@ def _cmd_compare(args) -> int:
         order, args.N, prime_powers_only=args.prime_powers_only
     ).values
     formula = expand_global(zeta, args.N).values
-    mismatches = [n for n in range(1, args.N + 1) if formula[n - 1] != oracle[n - 1]]
+    first_mismatch = next(
+        (n for n, a, o in zip(range(1, args.N + 1), formula, oracle) if a != o), None
+    )
     for note in con.notes:
         print(note, file=sys.stderr)
-    _emit(
-        _format_compare(con.label, args.N, formula, oracle, mismatches, args.format),
-        args.out,
+    _write_table(
+        args,
+        {"command": "compare", "construction": con.label, "bound": args.N},
+        "rows",
+        "n,a_n,oracle_a_n,match",
+        (
+            (n, a, o, "true" if a == o else "false")
+            for n, a, o in zip(range(1, args.N + 1), formula, oracle)
+        ),
+        {"all_match": first_mismatch is None, "first_mismatch": first_mismatch},
     )
-    if mismatches:
-        print(f"mismatch: first divergence at n = {mismatches[0]}", file=sys.stderr)
+    if first_mismatch is not None:
+        print(f"mismatch: first divergence at n = {first_mismatch}", file=sys.stderr)
         return 1
     return 0
 

@@ -10,7 +10,7 @@ exact.
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .arith import is_prime, primes_upto, smallest_prime_factors
 
@@ -351,19 +351,21 @@ def multiplicative_series(
 
 
 def euler_expand(
-    factors: Mapping[int, LocalFactor], bound: int
+    factor_at: Callable[[int], LocalFactor | None], bound: int
 ) -> DirichletCoefficients:
     """Expand an Euler product into a_1..a_bound.
 
-    `factors` must assign a local factor to every prime p <= bound; the
+    `factor_at(p)` must give the local factor at every prime p <= bound
+    (a mapping's `.get` will do); it is called once per prime, in
+    increasing order, so a factor can be built when it is read.  The
     coefficient a_{p^k} is read off the factor at p and composite n are
     filled in multiplicatively.
     """
 
     def local(p: int, k: int) -> list[int]:
-        if p not in factors:
+        f = factor_at(p)
+        if f is None:
             raise ValueError(f"no local factor assigned to the prime {p}")
-        f = factors[p]
         if f.prime != p:
             raise ValueError(f"factor at key {p} is attached to the prime {f.prime}")
         coeffs = f.expand(k)

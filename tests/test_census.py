@@ -168,6 +168,22 @@ def test_right_closure_agrees_on_commutative_orders():
         assert right_closed == count_left_ideals(ZC2, n)
 
 
+def test_census_caches_are_bounded_and_hit_by_a_repeated_compare(capsys):
+    from orderzeta.cli import main
+
+    for cached in (count_left_ideals, _generator_tables):
+        assert cached.cache_parameters()["maxsize"] is not None
+    # a perfbench session-mix pass makes 174 census calls and must keep
+    # its 108 hits
+    assert count_left_ideals.cache_parameters()["maxsize"] > 174
+    argv = ["compare", "kn", "5", "--N", "8"]
+    assert main(argv) == 0
+    hits = count_left_ideals.cache_info().hits
+    assert main(argv) == 0
+    assert count_left_ideals.cache_info().hits - hits == 7  # indices 2..8
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------------ series
 
 def test_ideal_series_zc2():
@@ -214,7 +230,7 @@ def test_split_ring_ideals_are_ordered_factorizations():
         factors = {
             p: LocalFactor(p, ONE, UPolynomial((1, -1)) ** r) for p in primes_upto(12)
         }
-        assert ideal_series(split, 12) == euler_expand(factors, 12)
+        assert ideal_series(split, 12) == euler_expand(factors.get, 12)
 
 
 # ------------------------------------------------------- differential oracle

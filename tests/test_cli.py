@@ -222,8 +222,8 @@ def test_compare_json_reports_match(capsys):
     assert doc["all_match"] is True and doc["first_mismatch"] is None
 
 
-def test_compare_mismatch_exits_one(capsys, monkeypatch):
-    # doctor the local rule of K_2 so the formula is wrong at n = 2
+def doctor_complete_graph_rule(monkeypatch):
+    # doctor the local rule of K_n so the formula of kn 2 is wrong at n = 2
     import dataclasses
 
     import orderzeta.cli as cli_mod
@@ -237,6 +237,10 @@ def test_compare_mismatch_exits_one(capsys, monkeypatch):
         )
 
     monkeypatch.setattr(cli_mod, "complete_graph_catalog", doctored)
+
+
+def test_compare_mismatch_exits_one(capsys, monkeypatch):
+    doctor_complete_graph_rule(monkeypatch)
     code, out, err = run(capsys, "compare", "kn", "2", "--N", "6")
     assert code == 1
     assert "first divergence at n = 2" in err
@@ -382,6 +386,119 @@ def test_compare_kn_census_does_not_grow_with_n(capsys):
     assert peak < 10**7
     assert code == 0
     assert [r[3] for r in parse_csv(out)[1:]] == ["true"] * 4
+
+
+# ----------------------------------------------------------- streamed tables
+
+def expected_table(command, name, params, bound, fmt, prime_powers_only=False):
+    """The table as the whole document was formatted before tables were
+    streamed: `json.dumps(doc, indent=1)`, or the CSV text, of values
+    computed here through the same construction."""
+    import orderzeta.cli as cli_mod
+    from orderzeta.catalog import expand_global, tensor_global_zeta
+    from orderzeta.census import ideal_series
+    from orderzeta.orders import tensor_order
+
+    con = cli_mod._build_construction(name, params)
+    formula = expand_global(tensor_global_zeta(*con.entries), bound).values
+    doc = {"command": command, "construction": con.label, "bound": bound}
+    if command == "expand":
+        header = "n,a_n"
+        rows = [[n, a] for n, a in zip(range(1, bound + 1), formula)]
+        doc["coefficients"] = rows
+    else:
+        header = "n,a_n,oracle_a_n,match"
+        order = tensor_order(*(entry.order for entry in con.entries))
+        oracle = ideal_series(order, bound, prime_powers_only).values
+        rows = [
+            [n, a, o, a == o] for n, a, o in zip(range(1, bound + 1), formula, oracle)
+        ]
+        mismatches = [row[0] for row in rows if not row[3]]
+        doc["rows"] = rows
+        doc["all_match"] = not mismatches
+        doc["first_mismatch"] = mismatches[0] if mismatches else None
+    if fmt == "json":
+        return json.dumps(doc, indent=1) + "\n"
+    lines = [header, *(",".join(str(x).lower() for x in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, name, params, bound, flags, doctored, code",
+    [
+        ("expand", "kn", ["3"], 1, [], False, 0),
+        ("expand", "km-x-kn", ["2", "3"], 8, [], False, 0),
+        ("expand", "zc6", [], 11, [], False, 0),
+        ("compare", "kn", ["3"], 1, [], False, 0),
+        ("compare", "cp", ["3"], 81, ["--prime-powers-only"], False, 0),
+        ("compare", "kn", ["2"], 6, [], True, 1),
+    ],
+    ids=["expand-N1", "expand-2-chunks", "expand-3-chunks", "compare-N1",
+         "compare-ppo", "mismatch"],
+)
+def test_streamed_table_is_byte_identical_to_whole_document(
+    capsys, monkeypatch, tmp_path, command, name, params, bound, flags, doctored,
+    code, fmt, to_file,
+):
+    import orderzeta.cli as cli_mod
+
+    # four rows a write, so short tables span several writes
+    monkeypatch.setattr(cli_mod, "CHUNK_ROWS", 4)
+    if doctored:
+        doctor_complete_graph_rule(monkeypatch)
+    target = tmp_path / "table"
+    argv = [command, name, *params, "--N", str(bound), *flags, "--format", fmt]
+    got_code, out, _ = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert got_code == code
+    if to_file:
+        assert out == ""
+        with open(target, encoding="utf-8", newline="") as fh:
+            out = fh.read()
+    assert out == expected_table(
+        command, name, params, bound, fmt, "--prime-powers-only" in flags
+    )
+
+
+def test_expand_table_spans_several_writes(capsys):
+    from orderzeta.cli import CHUNK_ROWS
+
+    bound = 2 * CHUNK_ROWS + 3
+    code, out, _ = run(capsys, "expand", "kn", "3", "--N", str(bound))
+    assert code == 0
+    assert out == expected_table("expand", "kn", ["3"], bound, "csv")
+
+
+def test_expand_json_memory_does_not_grow_with_the_table(tmp_path):
+    # the whole JSON document of this table took about 3.5 MB to format
+    target = tmp_path / "kn6.json"
+    argv = ["expand", "kn", "6", "--N", "10000", "--format", "json"]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 10**6
+    assert len(json.loads(target.read_text())["coefficients"]) == 10000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "cp", "4", "--N", "20"],
+        ["compare", "kn", "3", "--N", "100000"],
+        ["compare", "nope", "--N", "5"],
+    ],
+    ids=["not-prime", "over-budget", "unknown"],
+)
+def test_refusal_leaves_no_output_file(capsys, tmp_path, argv):
+    target = tmp_path / "refused"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not target.exists()
 
 
 # ------------------------------------------------------------------ validate
