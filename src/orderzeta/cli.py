@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from math import log10
@@ -33,6 +35,7 @@ from .localfactors import HeyComponent, PadicRing, hey_local_factor
 from .numfields import RATIONAL, FieldDescriptor, cyclotomic
 from .orders import tensor_order
 from .schemes import SchemeError, direct_product, load_scheme, save_scheme
+from .series import euler_values
 
 
 class Construction(NamedTuple):
@@ -191,8 +194,10 @@ def _write_table(args, head: dict, key: str, header: str, rows, tail: dict) -> N
     the CSV `header`: integers or preformatted tokens such as `true`.  The
     JSON text is exactly `json.dumps(doc, indent=1)` plus a newline, with
     doc = {**head, key: [list(row) for row in rows], **tail}; only the
-    scalar head and tail fields go through `json.dumps`.  Every value is
-    computed before the call, so a refusal leaves no file behind.
+    scalar head and tail fields go through `json.dumps`.  The rows may
+    still be computing: every refusal is made before the call, and if
+    making or writing a row raises, an `--out` file that is a regular file
+    is removed before the error goes on, so neither leaves a partial table.
     """
 
     def field(k, v) -> str:
@@ -212,23 +217,29 @@ def _write_table(args, head: dict, key: str, header: str, rows, tail: dict) -> N
     rows = iter(rows)
     if args.out:
         sink = open(args.out, "w", encoding="utf-8")
+        regular = stat.S_ISREG(os.fstat(sink.fileno()).st_mode)
     else:
-        sink = nullcontext(sys.stdout)
-    with sink as fh:
-        fh.write(opening)
-        lead = ""
-        # every row formats to a nonempty text, so only the end gives ""
-        while text := separator.join(
-            itertools.starmap(row_text.format, itertools.islice(rows, CHUNK_ROWS))
-        ):
-            fh.write(lead + text)
-            lead = separator
-        fh.write(closing)
+        sink, regular = nullcontext(sys.stdout), False
+    try:
+        with sink as fh:
+            fh.write(opening)
+            lead = ""
+            # every row formats to a nonempty text, so only the end gives ""
+            while text := separator.join(
+                itertools.starmap(row_text.format, itertools.islice(rows, CHUNK_ROWS))
+            ):
+                fh.write(lead + text)
+                lead = separator
+            fh.write(closing)
+    except BaseException:
+        if regular:
+            os.remove(args.out)
+        raise
 
 
 def _cmd_expand(args) -> int:
     con = _build_construction(args.construction, args.params)
-    values = expand_global(tensor_global_zeta(*con.entries), args.N).values
+    zeta = tensor_global_zeta(*con.entries)
     for note in con.notes:
         print(note, file=sys.stderr)
     _write_table(
@@ -236,7 +247,7 @@ def _cmd_expand(args) -> int:
         {"command": "expand", "construction": con.label, "bound": args.N},
         "coefficients",
         "n,a_n",
-        zip(range(1, args.N + 1), values),
+        zip(range(1, args.N + 1), euler_values(zeta.local_factor, args.N)),
         {},
     )
     return 0

@@ -5,14 +5,25 @@ prime p is a rational function num(u)/den(u) with integer coefficients,
 and a power q^{a-bs} with q = p^f enters as q^a * u^{fb}.  The complex
 variable s itself is never represented; all computations are integer
 exact.
+
+An Euler product is expanded into a_1..a_N by one segmented fill,
+`multiplicative_values`, which yields the coefficients in order while
+it sieves blocks of FILL_BLOCK numbers.  It keeps the local series of
+the primes up to sqrt(N) and, for the primes sqrt(N) < q <= N / 2, the
+prime and a_q (16 bytes each for small a_q), not the table itself;
+`DirichletCoefficients` holds a whole table where a caller needs one.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Callable, Iterable
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from math import gcd, isqrt
+from operator import mul
+from typing import Callable, Iterable, Iterator
 
-from .arith import is_prime, primes_upto, smallest_prime_factors
+from .arith import is_prime, primes_upto
 
 
 class UPolynomial:
@@ -319,47 +330,95 @@ class DirichletCoefficients:
         return f"DirichletCoefficients(N={self.bound}, {list(self.values)!r})"
 
 
-def multiplicative_series(
+# numbers per block of the segmented multiplicative fill
+FILL_BLOCK = 1 << 14
+
+
+def multiplicative_values(
     bound: int, local: Callable[[int, int], list[int]]
-) -> DirichletCoefficients:
-    """a_1..a_bound of the multiplicative function with a_{p^j} = local(p, k)[j].
+) -> Iterator[int]:
+    """Yield a_1..a_bound of the multiplicative function with
+    a_{p^j} = local(p, k)[j].
 
     `local` is called once per prime p <= bound, in increasing order, with
-    k the largest exponent such that p^k <= bound; composite n are filled
-    in from their smallest prime factor.
+    k the largest exponent such that p^k <= bound, and before any a_n with
+    p | n is yielded.  The values are sieved in blocks of FILL_BLOCK
+    numbers.  Only the primes up to sqrt(bound) keep their local series.
+    Every n <= bound has at most one prime factor q above sqrt(bound), to
+    the first power, so of those primes only a_q is kept, and only for
+    q <= bound / 2, which have a multiple still to come: the primes in a
+    flat array searched by bisection, beside a list of their a_q.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    prime_power: dict[int, list[int]] = {}
-    for p in primes_upto(bound):
-        k, q = 1, p
-        while q * p <= bound:
-            q *= p
-            k += 1
-        prime_power[p] = local(p, k)
-    values = [0] * (bound + 1)
-    values[1] = 1
-    spf = smallest_prime_factors(bound)
-    for n in range(2, bound + 1):
-        p = spf[n]
-        m, k = n, 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        values[n] = values[m] * prime_power[p][k]
-    return DirichletCoefficients(bound, values[1:])
+    root = isqrt(bound)
+    small = primes_upto(root)
+    series: list[list[int]] = []  # local series of small[0], small[1], ...
+    big_primes = array("q")  # the primes root < q <= bound / 2 read so far
+    big_values: list[int] = []  # their a_q
+    for lo in range(1, bound + 1, FILL_BLOCK):
+        hi = min(lo + FILL_BLOCK, bound + 1)
+        size = hi - lo
+        while len(series) < len(small) and small[len(series)] < hi:
+            p = small[len(series)]
+            k, q = 1, p
+            while q * p <= bound:
+                q *= p
+                k += 1
+            series.append(local(p, k))
+        values = [1] * size
+        unsieved = bytearray([1]) * size  # no prime factor <= root found yet
+        if lo == 1:
+            unsieved[0] = 0  # n = 1
+        for p, coeffs in zip(small, series):
+            # a_{p^v} with v = v_p(n), for the multiples n of p in the block
+            first = -lo % p
+            count = len(range(first, size, p))
+            unsieved[first::p] = bytes(count)
+            factors = [coeffs[1]] * count
+            q, j = p * p, 2
+            while q < hi:
+                # the multiples of q = p^j are every (q / p)-th of them
+                t, step = (-lo % q - first) // p, q // p
+                factors[t::step] = [coeffs[j]] * len(range(t, count, step))
+                q *= p
+                j += 1
+            values[first::p] = map(mul, values[first::p], factors)
+        # what the small primes leave are the primes q > root
+        for q in compress(range(lo, hi), unsieved):
+            a_q = local(q, 1)[1]
+            values[q - lo] = a_q
+            if 2 * q <= bound:
+                big_primes.append(q)
+                big_values.append(a_q)
+        # and every other n has at most one prime factor q > root: n = m q
+        for m in range(2, (hi - 1) // (root + 1) + 1):
+            first = bisect_left(big_primes, -(-lo // m))
+            last = bisect_right(big_primes, (hi - 1) // m, first)
+            if first == last:
+                continue
+            for q, a_q in zip(big_primes[first:last], big_values[first:last]):
+                values[m * q - lo] *= a_q
+        yield from values
 
 
-def euler_expand(
-    factor_at: Callable[[int], LocalFactor | None], bound: int
+def multiplicative_series(
+    bound: int, local: Callable[[int, int], list[int]]
 ) -> DirichletCoefficients:
-    """Expand an Euler product into a_1..a_bound.
+    """The whole table of `multiplicative_values(bound, local)`."""
+    return DirichletCoefficients(bound, multiplicative_values(bound, local))
+
+
+def euler_values(
+    factor_at: Callable[[int], LocalFactor | None], bound: int
+) -> Iterator[int]:
+    """Yield a_1..a_bound of an Euler product.
 
     `factor_at(p)` must give the local factor at every prime p <= bound
     (a mapping's `.get` will do); it is called once per prime, in
     increasing order, so a factor can be built when it is read.  The
     coefficient a_{p^k} is read off the factor at p and composite n are
-    filled in multiplicatively.
+    filled in multiplicatively, block by block as they are consumed.
     """
 
     def local(p: int, k: int) -> list[int]:
@@ -373,4 +432,11 @@ def euler_expand(
             raise ValueError(f"local factor at {p} has a_1 = {coeffs[0]}, expected 1")
         return coeffs
 
-    return multiplicative_series(bound, local)
+    return multiplicative_values(bound, local)
+
+
+def euler_expand(
+    factor_at: Callable[[int], LocalFactor | None], bound: int
+) -> DirichletCoefficients:
+    """The whole table of `euler_values(factor_at, bound)`."""
+    return DirichletCoefficients(bound, euler_values(factor_at, bound))

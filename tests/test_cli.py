@@ -501,6 +501,33 @@ def test_refusal_leaves_no_output_file(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failure_mid_table_leaves_no_output_file(capsys, monkeypatch, tmp_path, fmt):
+    # 97 > sqrt(1000): rows 1..96 are written when its factor is read
+    import orderzeta.catalog as catalog_mod
+    import orderzeta.cli as cli_mod
+    import orderzeta.series as series_mod
+
+    dedekind = catalog_mod.dedekind_local_factor
+    written = []
+
+    def failing(field, p):
+        if p == 97:
+            written.append(target.exists())
+            raise ValueError("no factor at 97")
+        return dedekind(field, p)
+
+    monkeypatch.setattr(catalog_mod, "dedekind_local_factor", failing)
+    monkeypatch.setattr(series_mod, "FILL_BLOCK", 16)
+    monkeypatch.setattr(cli_mod, "CHUNK_ROWS", 8)
+    target = tmp_path / "kn10"
+    argv = ["expand", "kn", "10", "--N", "1000", "--format", fmt, "--out", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == "error: no factor at 97\n"
+    assert written == [True]
+    assert not target.exists()
+
+
 # ------------------------------------------------------------------ validate
 
 def test_validate_k3(capsys, tmp_path):

@@ -242,3 +242,110 @@ def test_euler_expand_multiplicative():
         for n in range(1, 21):
             if m * n <= 20 and gcd(m, n) == 1:
                 assert series[m * n] == series[m] * series[n]
+
+
+# ------------------------------------------------------ segmented fill
+
+def varied_local(p, k):
+    # zeros, signs and large entries, all different per prime
+    return [1] + [((p * j) % 7 - 3) * p**j for j in range(1, k + 1)]
+
+
+def naive_multiplicative(bound, local):
+    from orderzeta.arith import factorize, primes_upto
+
+    def largest_exponent(p):
+        k = 1
+        while p ** (k + 1) <= bound:
+            k += 1
+        return k
+
+    series = {p: local(p, largest_exponent(p)) for p in primes_upto(bound)}
+    values = []
+    for n in range(1, bound + 1):
+        a = 1
+        for p, v in (factorize(n).items() if n > 1 else ()):
+            a *= series[p][v]
+        values.append(a)
+    return values, [(p, len(c) - 1) for p, c in series.items()]
+
+
+# with blocks of 7 the block edges are 7, 14, 21, ...; 61 is prime, 49 = 7^2,
+# 121 = 11^2, and at 60 the prime 11 > sqrt(60) has multiples 22..55 in
+# later blocks
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 6, 7, 8, 13, 14, 15, 48, 49, 50, 60, 61, 120, 121, 122, 500]
+)
+def test_segmented_fill_matches_the_whole_table(monkeypatch, bound):
+    import orderzeta.series as series_mod
+    from orderzeta.series import multiplicative_values
+
+    monkeypatch.setattr(series_mod, "FILL_BLOCK", 7)
+    calls = []
+
+    def local(p, k):
+        calls.append((p, k))
+        return varied_local(p, k)
+
+    expected, expected_calls = naive_multiplicative(bound, varied_local)
+    assert list(multiplicative_values(bound, local)) == expected
+    assert calls == expected_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 40))
+def test_segmented_fill_for_any_block_size(bound, block):
+    from unittest import mock
+
+    import orderzeta.series as series_mod
+    from orderzeta.series import multiplicative_series
+
+    expected, _ = naive_multiplicative(bound, varied_local)
+    with mock.patch.object(series_mod, "FILL_BLOCK", block):
+        assert list(multiplicative_series(bound, varied_local).values) == expected
+
+
+def test_segmented_fill_reads_each_prime_in_the_block_of_its_first_multiple(monkeypatch):
+    import orderzeta.series as series_mod
+    from orderzeta.arith import factorize
+    from orderzeta.series import multiplicative_values
+
+    monkeypatch.setattr(series_mod, "FILL_BLOCK", 7)
+    read = []
+
+    def local(p, k):
+        read.append(p)
+        return [1] * (k + 1)
+
+    for n, _ in enumerate(multiplicative_values(100, local), start=1):
+        block_end = (n - 1) // 7 * 7 + 7
+        assert set(factorize(n) if n > 1 else ()) <= set(read)
+        assert max(read, default=0) <= block_end
+
+
+def test_segmented_fill_memory_does_not_hold_the_table():
+    import tracemalloc
+
+    from orderzeta.series import multiplicative_values
+
+    tracemalloc.start()
+    try:
+        for _ in multiplicative_values(10**5, lambda p, k: [1] * (k + 1)):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole-table fill peaked near 6 MB at this bound
+    assert peak < 1 << 20
+
+
+def test_euler_values_checks_each_factor_as_it_is_read(monkeypatch):
+    import orderzeta.series as series_mod
+    from orderzeta.series import euler_values
+
+    monkeypatch.setattr(series_mod, "FILL_BLOCK", 4)
+    factors_map = {p: LocalFactor(p, ONE, ONE_MINUS_U) for p in (2, 3, 5)}
+    values = euler_values(factors_map.get, 10)
+    assert [next(values) for _ in range(4)] == [1, 1, 1, 1]
+    with pytest.raises(ValueError, match="no local factor assigned to the prime 7"):
+        next(values)
