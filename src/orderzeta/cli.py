@@ -430,7 +430,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NotLocallyCoprimeError as exc:
+    except (NotLocallyCoprimeError, OverflowError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (CompositumError, UnsupportedCoefficientRingError) as exc:

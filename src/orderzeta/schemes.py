@@ -3,15 +3,22 @@
 A scheme is a partition of X x X into 0/1 relation matrices containing
 the identity, closed under transpose, whose pairwise products are
 constant on every relation.  Matrices are stored dense as tuples of
-tuples; the sizes in scope stay small.
+tuples; SCHEME_BUDGET bounds the work on them.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 Matrix = tuple[tuple[int, ...], ...]
+
+# most steps one `validate` may take (n^3 for n points) and most matrix
+# entries one `direct_product` may build; a larger request, well formed
+# but too big, is refused with OverflowError
+SCHEME_BUDGET = 10**7
 
 
 class SchemeError(ValueError):
@@ -33,13 +40,6 @@ def _identity(n: int) -> Matrix:
 
 def _transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = _transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def _kron(a: Matrix, b: Matrix) -> Matrix:
@@ -77,9 +77,12 @@ def validate(matrices) -> AssociationScheme:
     """Check the four scheme conditions and assemble the derived structure.
 
     Relations are reordered so the identity comes first; everything else
-    keeps its input order.  Raises SchemeError with the number of the
-    first violated condition, or ValueError for malformed input: anything
-    but a list of lists of lists of integers.
+    keeps its input order.  Condition 4 and the structure constants come
+    from one count over the n^3 point triples (x, z, y), not from matrix
+    products.  Raises SchemeError with the number of the first violated
+    condition; ValueError for malformed input, anything but a list of
+    lists of lists of integers; OverflowError when the n^3 steps exceed
+    SCHEME_BUDGET.
     """
     if not isinstance(matrices, (list, tuple)):
         raise ValueError("relations must be a list of matrices")
@@ -101,6 +104,11 @@ def validate(matrices) -> AssociationScheme:
             raise ValueError(f"relation {s} is not a {n}x{n} matrix")
         if any(x not in (0, 1) for row in m for x in row):
             raise ValueError(f"relation {s} has entries outside {{0, 1}}")
+    if n**3 > SCHEME_BUDGET:
+        raise OverflowError(
+            f"a scheme on {n} points takes {n**3:,} steps to validate, "
+            f"more than {SCHEME_BUDGET:,}"
+        )
 
     ident = _identity(n)
     try:
@@ -140,40 +148,42 @@ def validate(matrices) -> AssociationScheme:
         for y in range(n):
             owner[x][y] = new_index[owner[x][y]]
 
-    # condition 4: products constant on every relation's support
-    support = []
-    for m in relations:
-        for x in range(n):
-            found = False
-            for y in range(n):
-                if m[x][y]:
-                    support.append((x, y))
-                    found = True
-                    break
-            if found:
-                break
+    # condition 4: (sigma_s sigma_t)(x, y) counts the points z with
+    # colour(x, z) = s and colour(z, y) = t, coded s * r + t; the sorted
+    # codes at every pair must equal those at the first pair of its colour
     r = len(relations)
-    constants = []
-    for s in range(r):
-        row_s = []
-        for t in range(r):
-            prod = _mat_mul(relations[s], relations[t])
-            coeffs = tuple(prod[x][y] for x, y in support)
-            for x in range(n):
-                for y in range(n):
-                    if prod[x][y] != coeffs[owner[x][y]]:
-                        raise SchemeError(
-                            4,
-                            f"sigma_{s} * sigma_{t} is not constant on relation "
-                            f"{owner[x][y]} (seen {prod[x][y]} and {coeffs[owner[x][y]]})",
-                        )
-            row_s.append(coeffs)
-        constants.append(tuple(row_s))
+    coded = [[r * c for c in row] for row in owner]
+    columns = list(zip(*owner))
+    first = {}
+    failure = None
+    for x in range(n):
+        for y in range(n):
+            u = owner[x][y]
+            seen = sorted(map(add, coded[x], columns[y]))
+            ref = first.setdefault(u, seen)
+            if seen != ref:
+                # below the first difference the counts agree, so the
+                # smallest code whose count differs is the smaller one there
+                key = next(min(a, b) for a, b in zip(seen, ref) if a != b)
+                if failure is None or key < failure[0]:
+                    failure = (key, u, seen.count(key), ref.count(key))
+    if failure is not None:
+        key, u, here, there = failure
+        raise SchemeError(
+            4,
+            f"sigma_{key // r} * sigma_{key % r} is not constant on relation "
+            f"{u} (seen {here} and {there})",
+        )
+    counts = [Counter(first[u]) for u in range(r)]
+    constants = tuple(
+        tuple(tuple(c.get(s * r + t, 0) for c in counts) for t in range(r))
+        for s in range(r)
+    )
 
     return AssociationScheme(
         size=n,
         relations=relations,
-        structure_constants=tuple(constants),
+        structure_constants=constants,
     )
 
 
@@ -251,7 +261,14 @@ def tensor_table(a, b) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def direct_product(a: AssociationScheme, b: AssociationScheme) -> AssociationScheme:
     """Scheme on |X| * |Y| points whose relations are the pairwise tensor
-    products; structure constants multiply componentwise."""
+    products; structure constants multiply componentwise.  Refuses, with
+    OverflowError, a product of more than SCHEME_BUDGET matrix entries."""
+    entries = a.rank * b.rank * (a.size * b.size) ** 2
+    if entries > SCHEME_BUDGET:
+        raise OverflowError(
+            f"a direct product of {entries:,} matrix entries is more than "
+            f"{SCHEME_BUDGET:,}"
+        )
     relations = tuple(
         _kron(ma, mb) for ma in a.relations for mb in b.relations
     )
@@ -264,13 +281,17 @@ def direct_product(a: AssociationScheme, b: AssociationScheme) -> AssociationSch
 
 def scheme_from_dict(data: dict) -> AssociationScheme:
     """Build and validate a scheme from {"size": n, "relations": [...]};
-    the size is optional and checked against the matrices when given."""
+    the size is optional and, when given, must be an integer equal to
+    the matrix size."""
     if not isinstance(data, dict) or "relations" not in data:
         raise ValueError("scheme document needs a 'relations' field")
+    size = data.get("size")
+    if "size" in data and (not isinstance(size, int) or isinstance(size, bool)):
+        raise ValueError(f"declared size {size!r} is not an integer")
     scheme = validate(data["relations"])
-    if "size" in data and scheme.size != data["size"]:
+    if "size" in data and scheme.size != size:
         raise ValueError(
-            f"declared size {data['size']} but matrices are {scheme.size}x{scheme.size}"
+            f"declared size {size} but matrices are {scheme.size}x{scheme.size}"
         )
     return scheme
 

@@ -607,6 +607,9 @@ MALFORMED_SCHEMES = [
     {"size": 2, "matrices": [[[1, 0], [0, 1]]]},
     [1],
     {"relations": [[[True, False], [False, True]], [[False, True], [True, False]]]},
+    {"size": True, "relations": [[[1]]]},
+    {"size": 2.0, "relations": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+    {"size": "2", "relations": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
 ]
 
 
@@ -622,6 +625,24 @@ def test_malformed_scheme_file_is_refused(capsys, tmp_path, doc):
     for a, b in ((bad, good), (good, bad)):
         code, _, err = run(capsys, "product", str(a), str(b), "--out", out_path)
         assert code == 2 and "cannot load input schemes" in err
+
+
+def test_scheme_commands_refuse_over_the_budget(capsys, monkeypatch, tmp_path):
+    import orderzeta.schemes as schemes_mod
+
+    monkeypatch.setattr(schemes_mod, "SCHEME_BUDGET", 27)
+    k3, k4 = tmp_path / "k3.json", tmp_path / "k4.json"
+    save_scheme(complete_graph_scheme(3), k3)
+    save_scheme(complete_graph_scheme(4), k4)
+    code, out, err = run(capsys, "validate", str(k4))
+    assert code == 2 and out == ""
+    assert err == "refused: a scheme on 4 points takes 64 steps to validate, more than 27\n"
+    out_path = tmp_path / "k3k3.json"
+    for a in (k4, k3):  # an input over the budget, then a product over it
+        code, out, err = run(capsys, "product", str(a), str(k3), "--out", str(out_path))
+        assert code == 2 and out == "" and err.startswith("refused: ")
+        assert not out_path.exists()
+    assert "324 matrix entries is more than 27" in err  # 4 relations of 9 x 9
 
 
 def test_product_accepts_file_without_size(capsys, tmp_path):

@@ -1,12 +1,16 @@
 """Association scheme validation, constructors, and direct products."""
 
+import itertools
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orderzeta.schemes as schemes_mod
 from orderzeta.schemes import (
+    AssociationScheme,
     SchemeError,
     complete_graph_scheme,
     cyclic_group_scheme,
@@ -97,6 +101,122 @@ def test_validate_malformed_input():
         validate([((0, 2), (1, 0))])
     with pytest.raises(ValueError):
         validate([((1, 0),)])
+
+
+# ------------------------------------------- condition 4 against products
+
+def product_constants(relations):
+    """Condition 4 by relation-matrix products, for relations that meet
+    conditions 1-3 with the identity first: the structure constants, or
+    the SchemeError that validate raises for the first failing product."""
+    n, r = len(relations[0]), len(relations)
+    owner = [[next(u for u, m in enumerate(relations) if m[x][y]) for y in range(n)]
+             for x in range(n)]
+    first = [next((x, y) for x in range(n) for y in range(n) if m[x][y])
+             for m in relations]
+    constants = []
+    for s in range(r):
+        row = []
+        for t in range(r):
+            prod = [[sum(relations[s][x][z] * relations[t][z][y] for z in range(n))
+                     for y in range(n)] for x in range(n)]
+            coeffs = tuple(prod[x][y] for x, y in first)
+            for x in range(n):
+                for y in range(n):
+                    u = owner[x][y]
+                    if prod[x][y] != coeffs[u]:
+                        raise SchemeError(
+                            4,
+                            f"sigma_{s} * sigma_{t} is not constant on relation {u} "
+                            f"(seen {prod[x][y]} and {coeffs[u]})",
+                        )
+            row.append(coeffs)
+        constants.append(tuple(row))
+    return tuple(constants)
+
+
+@st.composite
+def colourings(draw):
+    """The relations of a random colouring of X x X on 1-6 points: the
+    diagonal is one colour and up to three others cover the rest, each
+    transposed to itself or to a partner colour; shuffled, so the
+    identity need not come first.  Conditions 1-3 hold, 4 often fails."""
+    n = draw(st.integers(1, 6))
+    others = draw(st.integers(1, 3))
+    partner = list(range(others + 1))
+    if not draw(st.booleans()):  # not symmetric: pair up some colours
+        order = draw(st.permutations(range(1, others + 1)))
+        for a, b in zip(order[::2], order[1::2]):
+            partner[a], partner[b] = b, a
+    colour = {}
+    for x in range(n):
+        colour[x, x] = 0
+        for y in range(x + 1, n):
+            c = draw(st.integers(1, others))
+            colour[x, y], colour[y, x] = c, partner[c]
+    relations = [
+        tuple(tuple(int(colour[x, y] == c) for y in range(n)) for x in range(n))
+        for c in sorted(set(colour.values()))
+    ]
+    return draw(st.permutations(relations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colourings())
+def test_condition_four_counts_match_products(relations):
+    n = len(relations[0])
+    canonical = sorted(relations, key=lambda m: m != ident(n))  # identity first
+    try:
+        expected = product_constants(canonical)
+    except SchemeError as exc:
+        with pytest.raises(SchemeError) as err:
+            validate(relations)
+        assert err.value.condition == 4 and str(err.value) == str(exc)
+    else:
+        assert validate(relations) == AssociationScheme(n, tuple(canonical), expected)
+
+
+@given(st.permutations(range(6)))
+def test_noncommutative_constants_match_products(order):
+    # the thin scheme of S_3: relation g pairs x with x g, so sigma_g
+    # sigma_h = sigma_gh, which differs from sigma_hg
+    group = list(itertools.permutations(range(3)))
+    relations = [
+        tuple(tuple(int(tuple(x[i] for i in g) == y) for y in group) for x in group)
+        for g in group
+    ]
+    shuffled = [relations[i] for i in order]
+    canonical = sorted(shuffled, key=lambda m: m != ident(6))
+    expected = AssociationScheme(6, tuple(canonical), product_constants(canonical))
+    assert validate(shuffled) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_validate_reproduces_cyclic_and_complete_schemes(n):
+    assert validate(cyclic_group_scheme(n).relations) == cyclic_group_scheme(n)
+    if n >= 2:
+        assert validate(complete_graph_scheme(n).relations) == complete_graph_scheme(n)
+
+
+# ------------------------------------------------------------------ budget
+
+def test_validate_refuses_more_steps_than_the_budget(monkeypatch):
+    monkeypatch.setattr(schemes_mod, "SCHEME_BUDGET", 27)
+    assert validate(complete_graph_scheme(3).relations).size == 3
+    with pytest.raises(OverflowError, match="4 points takes 64 steps"):
+        validate(complete_graph_scheme(4).relations)
+    with pytest.raises(ValueError):  # shape checks come first
+        validate([ident(4), ((1, 0),)])
+
+
+def test_direct_product_refuses_more_entries_than_the_budget(monkeypatch):
+    a, b = complete_graph_scheme(3), cyclic_group_scheme(2)
+    entries = a.rank * b.rank * (a.size * b.size) ** 2  # 4 relations of 6 x 6
+    monkeypatch.setattr(schemes_mod, "SCHEME_BUDGET", entries)
+    assert direct_product(a, b).size == 6
+    monkeypatch.setattr(schemes_mod, "SCHEME_BUDGET", entries - 1)
+    with pytest.raises(OverflowError, match=f"{entries} matrix entries"):
+        direct_product(a, b)
 
 
 # -------------------------------------------------------------- constructors
@@ -236,4 +356,12 @@ def test_scheme_from_dict_size_mismatch():
     doc = complete_graph_scheme(3).to_dict()
     doc["size"] = 4
     with pytest.raises(ValueError):
+        scheme_from_dict(doc)
+
+
+@pytest.mark.parametrize("size", [True, 2.0, "2", None])
+def test_scheme_from_dict_size_must_be_an_integer(size):
+    doc = complete_graph_scheme(2).to_dict()
+    doc["size"] = size
+    with pytest.raises(ValueError, match=f"declared size {re.escape(repr(size))} is not an integer"):
         scheme_from_dict(doc)
